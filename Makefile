@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck race bench-smoke bench-guard bench-baseline profile smoke-ringmeshd fuzz-smoke ci
+.PHONY: all build test vet staticcheck race bench-smoke bench-guard bench-baseline perfbench-smoke profile smoke-ringmeshd fuzz-smoke ci
 
 all: build
 
@@ -42,6 +42,13 @@ bench-guard:
 bench-baseline:
 	$(GO) run ./cmd/benchguard -update -bench BenchmarkEngineStepUniform,BenchmarkEngineStepParallel1,BenchmarkEngineStepParallel2,BenchmarkAnalyticEstimate
 
+# The repository benchmark (perfbench/, its own module) builds against
+# this module's packages; its smoke tests run every workload at tiny
+# scale and check its answers, so a root-module change that breaks the
+# benchmark's build or checks fails here.
+perfbench-smoke:
+	$(GO) -C perfbench test ./...
+
 # CPU- and heap-profile the engine hot loop; inspect the output with
 # `go tool pprof cpu.prof`. For live profiles of the serving daemon,
 # boot it with -pprof and fetch /debug/pprof/profile instead.
@@ -64,4 +71,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s
 
 # The gate run by .github/workflows/ci.yml.
-ci: vet staticcheck build race bench-smoke bench-guard fuzz-smoke smoke-ringmeshd
+ci: vet staticcheck build race bench-smoke bench-guard perfbench-smoke fuzz-smoke smoke-ringmeshd

@@ -94,7 +94,14 @@ func benchCycles(b *testing.B, build func() (*System, error)) {
 	if err := sys.StepCycles(int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(sys.PMs())*float64(b.N), "PMcycles/op")
+	reportPMCycleRate(b, sys.PMs())
+}
+
+// reportPMCycleRate reports simulated PM-cycles per second of
+// benchmark time: every one of the system's pms PMs advances one cycle
+// per iteration.
+func reportPMCycleRate(b *testing.B, pms int) {
+	b.ReportMetric(float64(pms)*float64(b.N)/b.Elapsed().Seconds(), "PMcycles/s")
 }
 
 func BenchmarkSimRing24(b *testing.B) {
@@ -206,7 +213,7 @@ func benchParallelMesh(b *testing.B, workers int) {
 	if err := sys.StepCycles(int64(b.N)); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(sys.PMs())*float64(b.N), "PMcycles/op")
+	reportPMCycleRate(b, sys.PMs())
 }
 
 // Flat names (no sub-benchmarks): benchguard's baseline file and the

@@ -85,6 +85,23 @@ type router struct {
 	rr        [topo.NumPorts]int
 	staged    [topo.NumPorts]move
 
+	// Routing tables, built once in New from Spec.Route and
+	// Spec.Neighbor so the per-cycle work is lookups, not coordinate
+	// arithmetic: route[dst] is the e-cube output toward dst, nbr[o]
+	// the neighbour id on output o (-1 at edges and for Local), and
+	// down[o] the neighbour input FIFO output o feeds (nil where nbr is
+	// -1).
+	route []uint8
+	nbr   [topo.NumPorts]int
+	down  [topo.NumPorts]*packet.FIFO
+
+	// The request vector, refreshed once per cycle by scanInputs from
+	// start-of-cycle state: head[i] is input i's head flit (zero when
+	// empty) and req[i] the output that flit asks for, or noRequest
+	// when the input is empty or holds a body flit.
+	head [topo.NumPorts]packet.Flit
+	req  [topo.NumPorts]topo.Direction
+
 	// Injection register: the packet the PM is currently streaming
 	// into the local input FIFO.
 	injPkt    *packet.Packet
@@ -136,16 +153,47 @@ func New(cfg Config, pms []PMPort, engine *sim.Engine) (*Network, error) {
 			len(pms), cfg.Spec, cfg.Spec.PMs())
 	}
 	n := &Network{cfg: cfg, engine: engine}
+	spec := cfg.Spec
 	depth := cfg.bufferFlits()
-	for id := 0; id < cfg.Spec.PMs(); id++ {
-		r := &router{id: id, pm: pms[id]}
+	for id := 0; id < spec.PMs(); id++ {
+		r := &router{id: id, pm: pms[id], route: make([]uint8, spec.PMs())}
 		for p := topo.Direction(0); p < topo.NumPorts; p++ {
 			r.inputs[p] = packet.NewFIFO(depth)
 			r.outLockIn[p] = -1
 		}
+		for dst := range r.route {
+			r.route[dst] = uint8(spec.Route(id, dst))
+		}
 		n.routers = append(n.routers, r)
 	}
+	for _, r := range n.routers {
+		r.nbr[topo.Local] = -1
+		for o := topo.Direction(0); o < topo.Local; o++ {
+			r.nbr[o] = spec.Neighbor(r.id, o)
+			if r.nbr[o] >= 0 {
+				r.down[o] = n.routers[r.nbr[o]].inputs[o.Opposite()]
+			}
+		}
+	}
 	return n, nil
+}
+
+// noRequest marks an input whose head flit asks for no output this
+// cycle: the input is empty or holds a body flit of a locked worm.
+const noRequest topo.Direction = -1
+
+// scanInputs peeks each input once and records its head flit and the
+// output a packet head asks for. Every arbitration decision of the
+// cycle, the stall forensics' re-asking included, reads this vector.
+func (r *router) scanInputs() {
+	for i := topo.Direction(0); i < topo.NumPorts; i++ {
+		f, has := r.inputs[i].Peek()
+		r.head[i] = f
+		r.req[i] = noRequest
+		if has && f.Head() {
+			r.req[i] = topo.Direction(r.route[f.Pkt.Dst])
+		}
+	}
 }
 
 // Compute implements sim.Component: stage every router's crossbar
@@ -160,15 +208,15 @@ func (n *Network) Compute(now int64) {
 }
 
 // pickMove returns the flit output o would carry this cycle and the
-// input it comes from, judged from start-of-cycle state. It is pure
-// (Peek-only) so the stall forensics can re-ask the same question the
-// switching logic asks.
+// input it comes from, judged from the request vector scanInputs
+// recorded. It is pure so the stall forensics can re-ask the same
+// question the switching logic asks.
 func (n *Network) pickMove(r *router, o topo.Direction) (in topo.Direction, f packet.Flit, ok bool) {
 	if r.outLock[o] != nil {
 		// Continue the locked worm; bubbles keep the lock.
 		i := r.outLockIn[o]
-		head, has := r.inputs[i].Peek()
-		if !has {
+		head := r.head[i]
+		if head.Pkt == nil {
 			return -1, packet.Flit{}, false
 		}
 		if head.Pkt != r.outLock[o] {
@@ -179,16 +227,14 @@ func (n *Network) pickMove(r *router, o topo.Direction) (in topo.Direction, f pa
 	}
 	// Round-robin arbitration among inputs whose head flit is a packet
 	// head routed to this output.
+	i := topo.Direction(r.rr[o])
 	for k := 0; k < int(topo.NumPorts); k++ {
-		i := topo.Direction((r.rr[o] + k) % int(topo.NumPorts))
-		head, has := r.inputs[i].Peek()
-		if !has || !head.Head() {
-			continue
+		if r.req[i] == o {
+			return i, r.head[i], true
 		}
-		if n.cfg.Spec.Route(r.id, head.Pkt.Dst) != o {
-			continue
+		if i++; i == topo.NumPorts {
+			i = 0
 		}
-		return i, head, true
 	}
 	return -1, packet.Flit{}, false
 }
@@ -197,7 +243,7 @@ func (n *Network) computeRouter(r *router, now int64) {
 	if r.flt != nil && now >= r.flt.maxUntil {
 		r.flt = nil // every fault window has passed
 	}
-	spec := n.cfg.Spec
+	r.scanInputs()
 	for o := topo.Direction(0); o < topo.NumPorts; o++ {
 		r.staged[o] = move{}
 		if r.flt != nil && r.flt.blocked(o, now) {
@@ -213,12 +259,12 @@ func (n *Network) computeRouter(r *router, now int64) {
 			r.staged[o] = move{ok: true, in: in, f: f}
 			continue
 		}
-		nb := spec.Neighbor(r.id, o)
-		if nb < 0 {
+		down := r.down[o]
+		if down == nil {
 			panic(fmt.Sprintf("mesh: router %d routed %s off the edge (%s)",
 				r.id, f.Pkt, o))
 		}
-		if n.routers[nb].inputs[o.Opposite()].Space() >= 1 {
+		if down.Space() >= 1 {
 			r.staged[o] = move{ok: true, in: in, f: f}
 		}
 	}
@@ -250,9 +296,8 @@ func (n *Network) Commit(now int64) {
 // are staged in the shard's outbox instead of performed (see
 // partition.go) — everything else is byte-for-byte the serial commit.
 func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
-	spec := n.cfg.Spec
 	for o := topo.Direction(0); o < topo.NumPorts; o++ {
-		if o != topo.Local && spec.Neighbor(r.id, o) >= 0 {
+		if r.down[o] != nil {
 			r.linkUtil[o].Tick(1)
 		}
 		mv := r.staged[o]
@@ -287,16 +332,14 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 				r.pm.Deliver(mv.f.Pkt, now)
 			}
 		} else {
-			nb := spec.Neighbor(r.id, o)
-			if mv.f.Head() {
+			if n.tracer != nil && mv.f.Head() {
 				n.tracer.Record(now, trace.Hop, mv.f.Pkt,
 					fmt.Sprintf("router%d %s", r.id, o))
 			}
-			dst := n.routers[nb].inputs[o.Opposite()]
-			if sh != nil && !sh.owns(nb) {
-				sh.outbox = append(sh.outbox, deferredPush{fifo: dst, f: mv.f})
+			if sh != nil && !sh.owns(r.nbr[o]) {
+				sh.outbox = append(sh.outbox, deferredPush{fifo: r.down[o], f: mv.f})
 			} else {
-				dst.Push(mv.f)
+				r.down[o].Push(mv.f)
 			}
 			r.linkUtil[o].Busy(1)
 		}
@@ -307,7 +350,7 @@ func (n *Network) commitRouter(r *router, now int64, sh *rowShard) (moved int) {
 	// packet (possibly issued by the PM's commit earlier this tick)
 	// starts streaming next cycle.
 	if r.stagedInj.ok {
-		if r.stagedInj.f.Head() {
+		if n.tracer != nil && r.stagedInj.f.Head() {
 			n.tracer.Record(now, trace.Inject, r.stagedInj.f.Pkt,
 				fmt.Sprintf("router%d local", r.id))
 		}
@@ -378,7 +421,7 @@ func (n *Network) DescribeMetrics(reg *metrics.Registry) {
 		}
 		backing := make([]*stats.Utilization, 0, len(n.routers))
 		for _, r := range n.routers {
-			if n.cfg.Spec.Neighbor(r.id, o) >= 0 {
+			if r.down[o] != nil {
 				backing = append(backing, &r.linkUtil[o])
 			}
 		}

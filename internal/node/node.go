@@ -250,11 +250,11 @@ type PM struct {
 
 	// Pending packets awaiting NIC pickup (unbounded; the bounded
 	// buffers live in the NICs).
-	pendingReq  []*packet.Packet
-	pendingResp []*packet.Packet
+	pendingReq  packet.Queue
+	pendingResp packet.Queue
 
 	// Memory controller: FIFO of requests, one served at a time.
-	memQ       []*packet.Packet
+	memQ       packet.Queue
 	memRemain  int
 	memServing *packet.Packet
 
@@ -368,12 +368,10 @@ func (pm *PM) stepMemory(now int64) {
 			Issue: req.Issue,
 		}
 		resp.Flits = pm.cfg.Sizing.PacketFlits(resp.Type, pm.cfg.LineBytes)
-		pm.pendingResp = append(pm.pendingResp, resp)
+		pm.pendingResp.Push(resp)
 	}
-	if pm.memServing == nil && len(pm.memQ) > 0 {
-		pm.memServing = pm.memQ[0]
-		copy(pm.memQ, pm.memQ[1:])
-		pm.memQ = pm.memQ[:len(pm.memQ)-1]
+	if pm.memServing == nil && pm.memQ.Len() > 0 {
+		pm.memServing = pm.memQ.Pop()
 		pm.memRemain = pm.memLatency
 	}
 }
@@ -427,8 +425,10 @@ func (pm *PM) issueMiss(genTime int64) {
 		Issue: genTime,
 	}
 	req.Flits = pm.cfg.Sizing.PacketFlits(typ, pm.cfg.LineBytes)
-	pm.cfg.Tracer.Record(genTime, trace.Issue, req, fmt.Sprintf("pm%d", pm.ID))
-	pm.pendingReq = append(pm.pendingReq, req)
+	if pm.cfg.Tracer != nil {
+		pm.cfg.Tracer.Record(genTime, trace.Issue, req, fmt.Sprintf("pm%d", pm.ID))
+	}
+	pm.pendingReq.Push(req)
 	pm.outstanding++
 	pm.noteIssued(read)
 }
@@ -438,7 +438,9 @@ func (pm *PM) Deliver(p *packet.Packet, now int64) {
 	if p.Dst != pm.ID {
 		panic(fmt.Sprintf("node: PM %d received %s", pm.ID, p))
 	}
-	pm.cfg.Tracer.Record(now, trace.Deliver, p, fmt.Sprintf("pm%d", pm.ID))
+	if pm.cfg.Tracer != nil {
+		pm.cfg.Tracer.Record(now, trace.Deliver, p, fmt.Sprintf("pm%d", pm.ID))
+	}
 	if p.Type.IsResponse() {
 		pm.outstanding--
 		if pm.outstanding < 0 {
@@ -447,40 +449,20 @@ func (pm *PM) Deliver(p *packet.Packet, now int64) {
 		pm.noteCompleted(now - p.Issue)
 		return
 	}
-	pm.memQ = append(pm.memQ, p)
+	pm.memQ.Push(p)
 }
 
 // PendingResponse implements Injector.
-func (pm *PM) PendingResponse() (*packet.Packet, bool) {
-	if len(pm.pendingResp) == 0 {
-		return nil, false
-	}
-	return pm.pendingResp[0], true
-}
+func (pm *PM) PendingResponse() (*packet.Packet, bool) { return pm.pendingResp.Peek() }
 
 // PopPendingResponse implements Injector.
-func (pm *PM) PopPendingResponse() *packet.Packet {
-	p := pm.pendingResp[0]
-	copy(pm.pendingResp, pm.pendingResp[1:])
-	pm.pendingResp = pm.pendingResp[:len(pm.pendingResp)-1]
-	return p
-}
+func (pm *PM) PopPendingResponse() *packet.Packet { return pm.pendingResp.Pop() }
 
 // PendingRequest implements Injector.
-func (pm *PM) PendingRequest() (*packet.Packet, bool) {
-	if len(pm.pendingReq) == 0 {
-		return nil, false
-	}
-	return pm.pendingReq[0], true
-}
+func (pm *PM) PendingRequest() (*packet.Packet, bool) { return pm.pendingReq.Peek() }
 
 // PopPendingRequest implements Injector.
-func (pm *PM) PopPendingRequest() *packet.Packet {
-	p := pm.pendingReq[0]
-	copy(pm.pendingReq, pm.pendingReq[1:])
-	pm.pendingReq = pm.pendingReq[:len(pm.pendingReq)-1]
-	return p
-}
+func (pm *PM) PopPendingRequest() *packet.Packet { return pm.pendingReq.Pop() }
 
 // Outstanding returns the processor's current in-flight transaction
 // count (for tests).
@@ -489,7 +471,7 @@ func (pm *PM) Outstanding() int { return pm.outstanding }
 // QueuedInMemory returns the depth of the memory request queue
 // (including the request in service), for tests and diagnostics.
 func (pm *PM) QueuedInMemory() int {
-	n := len(pm.memQ)
+	n := pm.memQ.Len()
 	if pm.memServing != nil {
 		n++
 	}

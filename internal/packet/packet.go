@@ -124,11 +124,58 @@ type Packet struct {
 	// Inject is the cycle this packet entered a NIC output queue
 	// (used for network-only latency diagnostics).
 	Inject int64
+
+	// next links the packet into the Queue holding it (nil otherwise).
+	next *Packet
 }
 
 // String renders a compact description for traces and test failures.
 func (p *Packet) String() string {
 	return fmt.Sprintf("#%d %s %d→%d (%d flits)", p.ID, p.Type, p.Src, p.Dst, p.Flits)
+}
+
+// Queue is an unbounded FIFO of packets linked through the packets
+// themselves, so queueing never allocates. A packet sits in at most
+// one Queue at a time; the zero value is an empty queue.
+type Queue struct {
+	head, tail *Packet
+	n          int
+}
+
+// Len returns the number of queued packets.
+func (q *Queue) Len() int { return q.n }
+
+// Peek returns the oldest packet without removing it. ok is false when
+// empty.
+func (q *Queue) Peek() (p *Packet, ok bool) { return q.head, q.head != nil }
+
+// Push appends p, which must not already be queued. It panics when it
+// can tell: p links to a successor or is this queue's tail.
+func (q *Queue) Push(p *Packet) {
+	if p.next != nil || p == q.tail {
+		panic("packet: push of a packet that is already queued")
+	}
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+	q.n++
+}
+
+// Pop removes and returns the oldest packet. It panics when empty.
+func (q *Queue) Pop() *Packet {
+	p := q.head
+	if p == nil {
+		panic("packet: pop from empty queue")
+	}
+	q.head, p.next = p.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.n--
+	return p
 }
 
 // Flit is a flit-granularity view into a packet: the packet pointer
@@ -169,12 +216,18 @@ type FIFO struct {
 	items []Flit
 }
 
+// preallocFlits bounds the backing array NewFIFO reserves up front. It
+// covers every cache-line-sized buffer (the largest, a 128B mesh line,
+// is 36 flits), so those never grow in steady state; larger FIFOs grow
+// on demand toward their capacity.
+const preallocFlits = 64
+
 // NewFIFO returns a FIFO holding at most capacity flits.
 func NewFIFO(capacity int) *FIFO {
 	if capacity <= 0 {
 		panic("packet: FIFO capacity must be positive")
 	}
-	return &FIFO{cap: capacity}
+	return &FIFO{cap: capacity, items: make([]Flit, 0, min(capacity, preallocFlits))}
 }
 
 // Cap returns the capacity in flits.

@@ -174,6 +174,64 @@ func TestFIFOZeroCapPanics(t *testing.T) {
 	NewFIFO(0)
 }
 
+func TestQueueOrderAndReuse(t *testing.T) {
+	var q Queue
+	if _, ok := q.Peek(); ok || q.Len() != 0 {
+		t.Fatal("zero Queue is not empty")
+	}
+	a, b, c := &Packet{ID: 1}, &Packet{ID: 2}, &Packet{ID: 3}
+	q.Push(a)
+	q.Push(b)
+	if p, ok := q.Peek(); !ok || p != a || q.Len() != 2 {
+		t.Fatalf("Peek = %v, %v with Len %d", p, ok, q.Len())
+	}
+	if q.Pop() != a {
+		t.Fatal("Pop out of order")
+	}
+	q.Push(c)
+	// A popped packet is free to join another queue.
+	var other Queue
+	other.Push(a)
+	for _, want := range []*Packet{b, c} {
+		if got := q.Pop(); got != want {
+			t.Fatalf("Pop = %v, want %v", got, want)
+		}
+	}
+	if _, ok := q.Peek(); ok || q.Len() != 0 {
+		t.Fatal("drained Queue is not empty")
+	}
+	q.Push(b) // the emptied queue accepts again
+	if q.Pop() != b || other.Pop() != a {
+		t.Fatal("reuse after drain failed")
+	}
+}
+
+func TestQueueMisusePanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("pop from empty queue", func() { new(Queue).Pop() })
+	mustPanic("double push of the tail", func() {
+		var q Queue
+		p := &Packet{}
+		q.Push(p)
+		q.Push(p)
+	})
+	mustPanic("push of a packet queued elsewhere", func() {
+		var q, r Queue
+		p := &Packet{}
+		q.Push(p)
+		q.Push(&Packet{})
+		r.Push(p)
+	})
+}
+
 func TestHoldsOnly(t *testing.T) {
 	q := NewFIFO(4)
 	a := &Packet{ID: 1, Flits: 2}

@@ -386,7 +386,7 @@ func (s *station) commit(now int64) bool {
 	} else {
 		vc.txPkt, vc.txSrc = f.Pkt, s.stagedSrc
 	}
-	if f.Head() {
+	if s.tracer != nil && f.Head() {
 		kind := trace.Hop
 		if s.stagedRoute == routeExit && s.downstream.exitSink != nil {
 			if _, isQueue := s.downstream.exitSink.(*queueSink); isQueue {
