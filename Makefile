@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck race bench-smoke bench-guard bench-baseline perfbench-smoke profile smoke-ringmeshd fuzz-smoke ci
+.PHONY: all build test vet fmt-check staticcheck race bench-smoke bench-guard bench-baseline perfbench-smoke profile smoke-ringmeshd fuzz-smoke ci
 
 all: build
 
@@ -9,6 +9,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail if any Go file is not gofmt-formatted (gofmt -l lists them).
+fmt-check:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
 
 # Skipped with a note when the tool isn't installed, so `make ci`
 # works on a bare toolchain; CI installs it explicitly.
@@ -71,4 +78,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s
 
 # The gate run by .github/workflows/ci.yml.
-ci: vet staticcheck build race bench-smoke bench-guard perfbench-smoke fuzz-smoke smoke-ringmeshd
+ci: fmt-check vet staticcheck build race bench-smoke bench-guard perfbench-smoke fuzz-smoke smoke-ringmeshd

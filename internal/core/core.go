@@ -21,15 +21,12 @@ import (
 	"time"
 
 	"ringmesh/internal/fault"
-	"ringmesh/internal/mesh"
 	"ringmesh/internal/metrics"
 	"ringmesh/internal/network"
 	"ringmesh/internal/node"
 	"ringmesh/internal/obs"
-	"ringmesh/internal/ring"
 	"ringmesh/internal/sim"
 	"ringmesh/internal/stats"
-	"ringmesh/internal/topo"
 	"ringmesh/internal/trace"
 	"ringmesh/internal/workload"
 )
@@ -225,92 +222,6 @@ func (s *System) wireOnCycle() {
 func (s *System) OnCycle(f func(now int64, moved uint64)) {
 	s.userHook = f
 	s.wireOnCycle()
-}
-
-// RingSystemConfig configures a hierarchical-ring system.
-//
-// Deprecated: use SystemConfig with Network "ring".
-type RingSystemConfig struct {
-	// Net is the network configuration (topology, line size, global
-	// ring speed).
-	Net ring.Config
-	// Workload is the M-MRP attribute set.
-	Workload workload.MMRP
-	// MemLatency is the memory service time in PM cycles (0 = default).
-	MemLatency int
-	// Seed makes runs reproducible.
-	Seed uint64
-	// Histogram, when true, also collects the full latency
-	// distribution so Result can report percentiles.
-	Histogram bool
-	// Tracer optionally records per-packet lifecycle events.
-	Tracer *trace.Recorder
-}
-
-// NewRingSystem builds a hierarchical-ring multiprocessor.
-//
-// Deprecated: thin wrapper over NewSystem; use the generic API.
-func NewRingSystem(cfg RingSystemConfig) (*System, error) {
-	if err := cfg.Net.Validate(); err != nil {
-		return nil, err
-	}
-	return NewSystem(SystemConfig{
-		Network: "ring",
-		Net: network.Config{
-			Topology:          cfg.Net.Spec.String(),
-			LineBytes:         cfg.Net.LineBytes,
-			DoubleSpeedGlobal: cfg.Net.DoubleSpeedGlobal,
-			SlottedSwitching:  cfg.Net.Switching == ring.Slotted,
-			IRIQueueFlits:     cfg.Net.IRIQueueFlits,
-		},
-		Workload:   cfg.Workload,
-		MemLatency: cfg.MemLatency,
-		Seed:       cfg.Seed,
-		Histogram:  cfg.Histogram,
-		Tracer:     cfg.Tracer,
-	})
-}
-
-// MeshSystemConfig configures a 2D mesh system.
-//
-// Deprecated: use SystemConfig with Network "mesh".
-type MeshSystemConfig struct {
-	// Net is the network configuration (geometry, line size, buffer
-	// depth).
-	Net mesh.Config
-	// Workload is the M-MRP attribute set.
-	Workload workload.MMRP
-	// MemLatency is the memory service time in PM cycles (0 = default).
-	MemLatency int
-	// Seed makes runs reproducible.
-	Seed uint64
-	// Histogram, when true, also collects the full latency
-	// distribution so Result can report percentiles.
-	Histogram bool
-	// Tracer optionally records per-packet lifecycle events.
-	Tracer *trace.Recorder
-}
-
-// NewMeshSystem builds a mesh multiprocessor.
-//
-// Deprecated: thin wrapper over NewSystem; use the generic API.
-func NewMeshSystem(cfg MeshSystemConfig) (*System, error) {
-	if err := cfg.Net.Validate(); err != nil {
-		return nil, err
-	}
-	return NewSystem(SystemConfig{
-		Network: "mesh",
-		Net: network.Config{
-			Nodes:       cfg.Net.Spec.PMs(),
-			LineBytes:   cfg.Net.LineBytes,
-			BufferFlits: cfg.Net.BufferFlits,
-		},
-		Workload:   cfg.Workload,
-		MemLatency: cfg.MemLatency,
-		Seed:       cfg.Seed,
-		Histogram:  cfg.Histogram,
-		Tracer:     cfg.Tracer,
-	})
 }
 
 // Collector exposes the measurement aggregate (for tests).
@@ -616,17 +527,3 @@ func (s *System) RunCtx(ctx context.Context, rc RunConfig) (res Result, err erro
 	}
 	return res, nil
 }
-
-// RingTopologyFor returns the paper's Table 2 hierarchy for the given
-// PM count and cache line size.
-//
-// Deprecated: use network.RingTopologyFor.
-func RingTopologyFor(pms, lineBytes int) (topo.RingSpec, error) {
-	return network.RingTopologyFor(pms, lineBytes)
-}
-
-// SingleRingCapacity is the paper's conservative single-ring node
-// count per cache line size (Section 3, Figure 6).
-//
-// Deprecated: use network.SingleRingCapacity.
-var SingleRingCapacity = network.SingleRingCapacity

@@ -32,11 +32,11 @@ func (p *panicNet) Compute(now int64) {
 		panic("paniktest: synthetic model bug")
 	}
 }
-func (p *panicNet) Commit(int64)                    {}
-func (p *panicNet) BufferedFlits() int              { return 0 }
-func (p *panicNet) Stats() network.Stats            { return network.Stats{} }
-func (p *panicNet) ResetUtilization()               {}
-func (p *panicNet) SetTracer(*trace.Recorder)       {}
+func (p *panicNet) Commit(int64)                      {}
+func (p *panicNet) BufferedFlits() int                { return 0 }
+func (p *panicNet) Stats() network.Stats              { return network.Stats{} }
+func (p *panicNet) ResetUtilization()                 {}
+func (p *panicNet) SetTracer(*trace.Recorder)         {}
 func (p *panicNet) DescribeMetrics(*metrics.Registry) {}
 
 func init() {
@@ -110,7 +110,7 @@ func TestFaultPlanRejectedWithoutCapability(t *testing.T) {
 }
 
 func TestRunTimeout(t *testing.T) {
-	sys, err := NewRingSystem(ringCfg("2:4", 32))
+	sys, err := NewSystem(ringCfg("2:4", 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRunTimeout(t *testing.T) {
 }
 
 func TestRunContextCanceled(t *testing.T) {
-	sys, err := NewRingSystem(ringCfg("2:4", 32))
+	sys, err := NewSystem(ringCfg("2:4", 32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,9 @@ import (
 
 // boundsCSV is the recorded analytic-vs-simulate validation table,
 // embedded so the daemon can attach error bounds at runtime without
-// a working directory dependency. The canonical human-facing copy is
-// results/analytic-bounds.csv; TestBoundsFilesIdentical pins the two
-// byte-identical, and the harness in fidelity_test.go regenerates
-// both (FIDELITY_RECORD=1) and enforces the gated rows otherwise.
+// a working directory dependency. This file is the only copy; the
+// harness in fidelity_test.go regenerates it (FIDELITY_RECORD=1) and
+// enforces the gated rows otherwise.
 //
 //go:embed analytic-bounds.csv
 var boundsCSV string

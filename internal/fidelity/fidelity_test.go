@@ -68,8 +68,7 @@ func validationConfig(netName, topology string, line, buf int, c float64) core.S
 // both backends over the golden configs and the load sweep, and fails
 // if the analytic estimate drifts outside the recorded bound on any
 // gated (low-load) row. With FIDELITY_RECORD=1 it instead re-measures
-// every row and rewrites both copies of analytic-bounds.csv (the
-// embedded one and results/).
+// every row and rewrites the embedded analytic-bounds.csv.
 func TestAnalyticWithinRecordedBounds(t *testing.T) {
 	record := os.Getenv("FIDELITY_RECORD") == "1"
 	sim, err := Get(Simulate)
@@ -144,13 +143,10 @@ func TestAnalyticWithinRecordedBounds(t *testing.T) {
 	}
 
 	if record {
-		data := FormatBounds(recorded)
-		for _, path := range []string{"analytic-bounds.csv", "../../results/analytic-bounds.csv"} {
-			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.WriteFile("analytic-bounds.csv", []byte(FormatBounds(recorded)), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("recorded %d rows to analytic-bounds.csv and results/analytic-bounds.csv", len(recorded))
+		t.Logf("recorded %d rows to analytic-bounds.csv", len(recorded))
 	}
 }
 
@@ -169,19 +165,6 @@ func admittedBound(relErr float64) float64 {
 	// Round up to the CSV's 4-decimal precision so the parsed bound is
 	// never below the intended one.
 	return math.Ceil(b*1e4) / 1e4
-}
-
-// TestBoundsFilesIdentical pins the embedded bounds table and the
-// human-facing copy under results/ byte-identical, so neither can be
-// edited without the other (FIDELITY_RECORD=1 rewrites both).
-func TestBoundsFilesIdentical(t *testing.T) {
-	disk, err := os.ReadFile("../../results/analytic-bounds.csv")
-	if err != nil {
-		t.Fatalf("results copy: %v (regenerate with FIDELITY_RECORD=1)", err)
-	}
-	if string(disk) != boundsCSV {
-		t.Fatalf("results/analytic-bounds.csv differs from the embedded copy; regenerate both with FIDELITY_RECORD=1")
-	}
 }
 
 func TestBoundsCoverGoldenConfigs(t *testing.T) {

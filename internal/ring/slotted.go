@@ -87,7 +87,11 @@ type spktQueue struct {
 	items []readyPkt
 }
 
-func newSPktQueue(capacity int) *spktQueue { return &spktQueue{cap: capacity} }
+// newSPktQueue reserves the whole capacity up front, so steady-state
+// pushes never grow the backing array.
+func newSPktQueue(capacity int) *spktQueue {
+	return &spktQueue{cap: capacity, items: make([]readyPkt, 0, capacity)}
+}
 
 func (q *spktQueue) count() int { return len(q.items) }
 
@@ -502,7 +506,7 @@ func (n *SlottedNetwork) DescribeMetrics(reg *metrics.Registry) {
 	for _, ir := range n.iris {
 		node := fmt.Sprintf("iri[%d,%d)", ir.lo, ir.hi)
 		for _, q := range []struct {
-			queue        *spktQueue
+			queue       *spktQueue
 			kind, class string
 		}{
 			{ir.upReq, "up", "req"},

@@ -25,10 +25,7 @@
 //	    Workload:    ringmesh.PaperWorkload(),
 //	}, ringmesh.DefaultRunOptions())
 //
-// Topologies lists the registered network names. The earlier
-// per-topology entry points (RunRing, RunMesh, NewRingSystem,
-// NewMeshSystem, SweepRingSizes, SweepMeshSizes) remain as thin
-// deprecated wrappers over the generic API.
+// Topologies lists the registered network names.
 //
 // Results report the paper's metrics: average round-trip access
 // latency in processor clock cycles (with a 95% confidence interval
@@ -194,105 +191,6 @@ type Config struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// RingConfig describes a hierarchical-ring system.
-//
-// Deprecated: use Config with Network "ring".
-type RingConfig struct {
-	// Topology in the paper's colon notation, e.g. "2:3:4" (one
-	// global ring of 2 intermediate rings, each with 3 local rings of
-	// 4 PMs) or "12" (a single 12-PM ring). Leave empty and set Nodes
-	// to pick the paper's Table 2 topology automatically.
-	Topology string `json:"topology,omitempty"`
-	// Nodes is used when Topology is empty: the number of PMs for
-	// which to derive the best hierarchy.
-	Nodes int `json:"nodes,omitempty"`
-	// LineBytes is the cache line size: 16, 32, 64 or 128.
-	LineBytes int `json:"line_bytes"`
-	// DoubleSpeedGlobal clocks the global ring at twice the PM clock
-	// (paper Section 6).
-	DoubleSpeedGlobal bool `json:"double_speed_global,omitempty"`
-	// SlottedSwitching selects the Hector/NUMAchine slotted-ring
-	// technique instead of the paper's wormhole switching (extension;
-	// see internal/ring/slotted.go).
-	SlottedSwitching bool `json:"slotted_switching,omitempty"`
-	// Workload is the M-MRP attribute set.
-	Workload Workload `json:"workload"`
-	// MemLatencyCycles is the memory service time (0 = default 10).
-	MemLatencyCycles int `json:"mem_latency_cycles,omitempty"`
-	// Seed makes the run reproducible (same seed, same result).
-	Seed uint64 `json:"seed,omitempty"`
-	// Histogram also collects the latency distribution so the result
-	// can report percentiles (small extra memory cost).
-	Histogram bool `json:"histogram,omitempty"`
-	// Trace records per-packet lifecycle events (issue, hops, exits,
-	// delivery), retrievable via System.TraceEvents. Tracing large
-	// runs is memory-hungry; see TraceOnlyPacket to narrow it.
-	Trace bool `json:"trace,omitempty"`
-	// TraceOnlyPacket restricts tracing to one packet id (0 = all).
-	TraceOnlyPacket uint64 `json:"trace_only_packet,omitempty"`
-}
-
-// generic converts to the topology-agnostic configuration.
-func (cfg RingConfig) generic() Config {
-	return Config{
-		Network:           "ring",
-		Topology:          cfg.Topology,
-		Nodes:             cfg.Nodes,
-		LineBytes:         cfg.LineBytes,
-		DoubleSpeedGlobal: cfg.DoubleSpeedGlobal,
-		SlottedSwitching:  cfg.SlottedSwitching,
-		Workload:          cfg.Workload,
-		MemLatencyCycles:  cfg.MemLatencyCycles,
-		Seed:              cfg.Seed,
-		Histogram:         cfg.Histogram,
-		Trace:             cfg.Trace,
-		TraceOnlyPacket:   cfg.TraceOnlyPacket,
-	}
-}
-
-// MeshConfig describes a square 2D bi-directional mesh system.
-//
-// Deprecated: use Config with Network "mesh".
-type MeshConfig struct {
-	// Nodes is the processor count; it must be a perfect square.
-	Nodes int `json:"nodes,omitempty"`
-	// LineBytes is the cache line size: 16, 32, 64 or 128.
-	LineBytes int `json:"line_bytes"`
-	// BufferFlits is the router input buffer depth in flits; the
-	// paper evaluates 1, 4 and cache-line-sized (0 selects cl).
-	BufferFlits int `json:"buffer_flits,omitempty"`
-	// Workload is the M-MRP attribute set.
-	Workload Workload `json:"workload"`
-	// MemLatencyCycles is the memory service time (0 = default 10).
-	MemLatencyCycles int `json:"mem_latency_cycles,omitempty"`
-	// Seed makes the run reproducible.
-	Seed uint64 `json:"seed,omitempty"`
-	// Histogram also collects the latency distribution so the result
-	// can report percentiles (small extra memory cost).
-	Histogram bool `json:"histogram,omitempty"`
-	// Trace records per-packet lifecycle events (issue, hops, exits,
-	// delivery), retrievable via System.TraceEvents.
-	Trace bool `json:"trace,omitempty"`
-	// TraceOnlyPacket restricts tracing to one packet id (0 = all).
-	TraceOnlyPacket uint64 `json:"trace_only_packet,omitempty"`
-}
-
-// generic converts to the topology-agnostic configuration.
-func (cfg MeshConfig) generic() Config {
-	return Config{
-		Network:          "mesh",
-		Nodes:            cfg.Nodes,
-		LineBytes:        cfg.LineBytes,
-		BufferFlits:      cfg.BufferFlits,
-		Workload:         cfg.Workload,
-		MemLatencyCycles: cfg.MemLatencyCycles,
-		Seed:             cfg.Seed,
-		Histogram:        cfg.Histogram,
-		Trace:            cfg.Trace,
-		TraceOnlyPacket:  cfg.TraceOnlyPacket,
-	}
-}
-
 // RunOptions controls the batch-means measurement schedule.
 type RunOptions struct {
 	// WarmupCycles is the discarded first batch.
@@ -393,8 +291,8 @@ type Result struct {
 // ErrorBound is the recorded analytic-vs-simulate validation envelope
 // attached to analytic-fidelity results: the worst relative latency
 // error observed (plus margin) when both backends ran the golden
-// configs at low load. See internal/fidelity and
-// results/analytic-bounds.csv.
+// configs at low load. See internal/fidelity and its recorded table,
+// internal/fidelity/analytic-bounds.csv.
 type ErrorBound struct {
 	// MaxRelErr is the admitted relative latency error at low load
 	// (0.03 = within 3% of the simulator).
@@ -585,20 +483,6 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	return &System{inner: sys, rec: rec}, nil
-}
-
-// NewRingSystem builds a hierarchical-ring multiprocessor.
-//
-// Deprecated: thin wrapper over NewSystem with Network "ring".
-func NewRingSystem(cfg RingConfig) (*System, error) {
-	return NewSystem(cfg.generic())
-}
-
-// NewMeshSystem builds a mesh multiprocessor.
-//
-// Deprecated: thin wrapper over NewSystem with Network "mesh".
-func NewMeshSystem(cfg MeshConfig) (*System, error) {
-	return NewSystem(cfg.generic())
 }
 
 // Run executes the batch-means schedule and returns the measurements.
@@ -814,20 +698,6 @@ func Estimate(cfg Config, opt RunOptions) (Result, error) {
 // valid values for Config.Fidelity (the serving daemon additionally
 // accepts "auto").
 func Fidelities() []string { return fidelity.Names() }
-
-// RunRing builds and measures a hierarchical-ring system in one call.
-//
-// Deprecated: thin wrapper over Run with Network "ring".
-func RunRing(cfg RingConfig, opt RunOptions) (Result, error) {
-	return Run(cfg.generic(), opt)
-}
-
-// RunMesh builds and measures a mesh system in one call.
-//
-// Deprecated: thin wrapper over Run with Network "mesh".
-func RunMesh(cfg MeshConfig, opt RunOptions) (Result, error) {
-	return Run(cfg.generic(), opt)
-}
 
 // Topologies returns the names of all registered interconnect models,
 // sorted; valid values for Config.Network.
