@@ -19,9 +19,10 @@
 #     with retries and breaker trips visible on /metrics.
 #
 # Later stages add overload (priority admission + shedding), the
-# crash-safe journal, and multi-fidelity serving (an auto request
+# crash-safe journal, multi-fidelity serving (an auto request
 # answered analytically under load, upgraded to exact in the
-# background).
+# background), and sweeps and batches on a plain daemon answered from
+# the cache on resubmission.
 #
 # No dependencies beyond curl and the Go toolchain.
 set -euo pipefail
@@ -505,4 +506,55 @@ echo "$ametrics" | grep -q 'ringmeshd_fidelity_answer_seconds_bucket{fidelity="a
 kill -TERM "$apid"; wait "$apid" || { echo "FAIL: fidelity daemon exited dirty"; exit 1; }
 
 echo "PASS: fidelity smoke (auto answered analytically under flood; upgrade landed the exact result)"
+
+# ---------------------------------------------------------------------
+# Stage 7: multi-point jobs on a plain (uncoordinated) daemon. A
+# 2-size sweep and a 2-entry batch each run to "done"; resubmitted,
+# both must be answered wholly from the result cache — "cached":true
+# with the cache-miss counter unmoved.
+
+plog=$(mktemp)
+boot "$plog"
+ppid=$BOOT_PID; pbase="http://$BOOT_ADDR"
+
+psweep='{"config":{"network":"mesh","line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":51},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2},"sizes":[16,9]}'
+pbatch='{"runs":[{"config":{"network":"mesh","nodes":16,"line_bytes":32,"buffer_flits":4,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":52},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}},{"config":{"network":"ring","nodes":8,"line_bytes":32,"workload":{"r":1,"c":0.04,"t":4,"read_prob":0.7},"seed":53},"options":{"warmup_cycles":500,"batch_cycles":500,"batches":2}}]}'
+
+# multipoint PATH BODY submits a sweep or batch and prints its final
+# job document.
+multipoint() {
+  local r id
+  r=$(curl -fsS -X POST "$pbase$1" -d "$2" | tr -d '[:space:]')
+  id=$(printf '%s' "$r" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+  [ -n "$id" ] || { echo "FAIL: no job id from $1: $r" >&2; exit 1; }
+  await "$pbase" "$id"
+}
+misses() { curl -fsS "$pbase/metrics" | sed -n 's/^ringmeshd_cache_misses_total \([0-9]*\)$/\1/p'; }
+
+sdoc=$(multipoint /v1/sweeps "$psweep")
+case "$sdoc" in
+  *'"points":['*'"nodes":9'*'"nodes":16'*) ;;
+  *) echo "FAIL: sweep points missing or out of order: $sdoc"; exit 1 ;;
+esac
+bdoc=$(multipoint /v1/batch "$pbatch")
+case "$bdoc" in
+  *'"items":['*'"index":0'*'"index":1'*) ;;
+  *) echo "FAIL: batch items missing: $bdoc"; exit 1 ;;
+esac
+m0=$(misses)
+[ "$m0" = "4" ] || { echo "FAIL: expected 4 cache misses after the first sweep and batch, got $m0"; exit 1; }
+
+for pair in "/v1/sweeps|$psweep" "/v1/batch|$pbatch"; do
+  again=$(multipoint "${pair%%|*}" "${pair#*|}")
+  case "$again" in
+    *'"cached":true'*) ;;
+    *) echo "FAIL: resubmitted ${pair%%|*} not served from cache: $again"; exit 1 ;;
+  esac
+done
+m1=$(misses)
+[ "$m1" = "$m0" ] || { echo "FAIL: resubmission recomputed: cache misses $m0 -> $m1"; exit 1; }
+
+kill -TERM "$ppid"; wait "$ppid" || { echo "FAIL: plain daemon exited dirty"; exit 1; }
+
+echo "PASS: multi-point smoke (sweep and batch done on a plain daemon; resubmissions cached, 0 new misses)"
 echo "PASS: ringmeshd smoke"

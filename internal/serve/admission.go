@@ -59,11 +59,11 @@ func parseClass(s string, def class) (class, error) {
 	}
 }
 
-// defaultClassWeights are the deficit-round-robin shares: per refill
-// cycle under full load, 16 interactive jobs run for every 4 batch and
-// 1 background. Interactive dominates without starving the rest — a
+// classWeights are the deficit-round-robin shares: per refill cycle
+// under full load, 16 interactive jobs run for every 4 batch and 1
+// background. Interactive dominates without starving the rest — a
 // queued batch job always runs within one refill cycle.
-var defaultClassWeights = [numClasses]int{16, 4, 1}
+var classWeights = [numClasses]int{16, 4, 1}
 
 // shedError reports a submission (or an already-queued victim) shed by
 // the admission layer, carrying the class the HTTP layer echoes in the
@@ -103,7 +103,7 @@ type admitter struct {
 
 // newAdmitter builds the admission layer. total bounds the sum of all
 // queues; depths bounds each class (entries < 1 default to total);
-// weights below 1 default to defaultClassWeights. Gauges for per-class
+// weights below 1 default to classWeights. Gauges for per-class
 // and total depth are registered in reg.
 func newAdmitter(total int, depths, weights [numClasses]int, reg *metrics.Registry) *admitter {
 	if total < 1 {
@@ -118,7 +118,7 @@ func newAdmitter(total int, depths, weights [numClasses]int, reg *metrics.Regist
 		}
 		a.weights[c] = weights[c]
 		if a.weights[c] < 1 {
-			a.weights[c] = defaultClassWeights[c]
+			a.weights[c] = classWeights[c]
 		}
 		a.credits[c] = a.weights[c]
 		c := c

@@ -33,7 +33,7 @@ func testAdmitter(total int) *admitter {
 }
 
 func classedJob(id string, c class) *job {
-	j := newJob(id, kindRun, 8)
+	j := newJob(id, kindRun)
 	j.class = c
 	return j
 }
@@ -449,11 +449,11 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestFinishBatchClassifiesWholesaleFailure(t *testing.T) {
-	j := newJob("b1", kindBatch, 8)
-	err := j.finishBatch([]BatchItem{
-		{Index: 0, Error: &JobError{Status: 422, Kind: "stall", Message: "stalled"}},
-		{Index: 1, Error: &JobError{Status: 500, Kind: "runtime", Message: "boom"}},
-	}, false)
+	j := newJob("b1", kindBatch)
+	err := j.finish([]outcome{
+		{err: &JobError{Status: 422, Kind: "stall", Message: "stalled"}},
+		{err: &JobError{Status: 500, Kind: "runtime", Message: "boom"}},
+	})
 	if err == nil {
 		t.Fatal("all-failed batch reported success")
 	}
@@ -462,12 +462,12 @@ func TestFinishBatchClassifiesWholesaleFailure(t *testing.T) {
 		t.Fatalf("wholesale failure = %+v; want first item's classification", v.Error)
 	}
 
-	j2 := newJob("b2", kindBatch, 8)
+	j2 := newJob("b2", kindBatch)
 	res := ringmesh.Result{}
-	if err := j2.finishBatch([]BatchItem{
-		{Index: 0, Result: &res},
-		{Index: 1, Error: &JobError{Status: 500, Kind: "runtime", Message: "boom"}},
-	}, false); err != nil {
+	if err := j2.finish([]outcome{
+		{res: &res},
+		{err: &JobError{Status: 500, Kind: "runtime", Message: "boom"}},
+	}); err != nil {
 		t.Fatalf("partial batch = %v; want degraded success", err)
 	}
 	if v := j2.view(); v.State != JobDone || !v.Degraded {

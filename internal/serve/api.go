@@ -149,10 +149,10 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// gate applies the submission-path request checks shared by runs and
-// sweeps: drain state (a draining server accepts no new jobs, cached
-// or not), rate limit, then body decode with unknown fields rejected.
-// It reports false after writing the error response.
+// gate applies the submission-path request checks shared by runs,
+// sweeps and batches: drain state (a draining server accepts no new
+// jobs, cached or not), rate limit, then body decode with unknown
+// fields rejected. It reports false after writing the error response.
 func (s *Server) gate(w http.ResponseWriter, r *http.Request, into any) bool {
 	if s.drainingNow() {
 		s.rejected.Inc()
@@ -186,22 +186,27 @@ func (s *Server) gate(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
-// validateRunOptions checks the schedule fields the models never see
+// runOptions resolves a request's schedule (omitted:
+// DefaultRunOptions) and checks the fields the models never see
 // (CacheKey validates the config itself).
-func validateRunOptions(o ringmesh.RunOptions) error {
+func runOptions(o *ringmesh.RunOptions) (ringmesh.RunOptions, error) {
+	opt := ringmesh.DefaultRunOptions()
+	if o != nil {
+		opt = *o
+	}
 	switch {
-	case o.WarmupCycles < 0:
-		return fmt.Errorf("warmup_cycles %d < 0", o.WarmupCycles)
-	case o.BatchCycles < 1:
-		return fmt.Errorf("batch_cycles %d < 1", o.BatchCycles)
-	case o.Batches < 1:
-		return fmt.Errorf("batches %d < 1", o.Batches)
-	case o.WatchdogCycles < 0:
-		return fmt.Errorf("watchdog_cycles %d < 0", o.WatchdogCycles)
-	case o.Timeout < 0:
-		return fmt.Errorf("timeout_ns %d < 0", o.Timeout)
+	case opt.WarmupCycles < 0:
+		return opt, fmt.Errorf("warmup_cycles %d < 0", opt.WarmupCycles)
+	case opt.BatchCycles < 1:
+		return opt, fmt.Errorf("batch_cycles %d < 1", opt.BatchCycles)
+	case opt.Batches < 1:
+		return opt, fmt.Errorf("batches %d < 1", opt.Batches)
+	case opt.WatchdogCycles < 0:
+		return opt, fmt.Errorf("watchdog_cycles %d < 0", opt.WatchdogCycles)
+	case opt.Timeout < 0:
+		return opt, fmt.Errorf("timeout_ns %d < 0", opt.Timeout)
 	default:
-		return nil
+		return opt, nil
 	}
 }
 
@@ -253,10 +258,40 @@ func (s *Server) rejectInfeasible(w http.ResponseWriter, j *job) bool {
 	return true
 }
 
-// submitJob runs the shared tail of every submission handler:
-// admission (with the backpressure contract on shed), the enqueue
-// span, and the 202 response.
-func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, j *job, what string) {
+// submit is the shared tail of every submission handler, once the
+// request is decoded into j's points, class and deadline. When the
+// endpoint answers inline for this request, the job is first resolved
+// on the request path (see resolveInline; auto says which points an
+// estimate may stand in for): a full resolution is the 200 answer, an
+// estimator refusal is a 400 when the client named the analytic tier
+// and an exact enqueue under auto (counted). Otherwise the deadline
+// feasibility check, then admission.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, j *job, validateStart time.Time, mode string, inline bool, auto func(i int) bool) {
+	j.tr.Record(obs.SpanRecord{
+		Name: "validate", Start: validateStart, Dur: time.Since(validateStart),
+		Attrs: []obs.Attr{{Key: "key", Value: j.points[0].key[:8]}},
+	})
+	if inline {
+		start := time.Now()
+		outs, upgrade, err := s.resolveInline(j, auto)
+		switch {
+		case outs != nil:
+			s.answerInline(w, r, j, outs, upgrade, start)
+			return
+		case mode == fidelity.Analytic:
+			s.rejected.Inc()
+			s.log.Warn("analytic "+j.kind+" rejected", "client", clientKey(r), "err", err)
+			writeError(w, http.StatusBadRequest, "analytic fidelity: %v", err)
+			return
+		case mode == fidelity.Auto:
+			s.fidFallback.Inc()
+			s.log.Info("auto fidelity falling back to exact", "kind", j.kind,
+				"client", clientKey(r), "err", err)
+		}
+	}
+	if s.rejectInfeasible(w, j) {
+		return
+	}
 	s.register(j)
 	// enqueuedAt is set before admission: a worker may pick the job up
 	// the instant it enters its class queue, and it reads this field to
@@ -264,25 +299,37 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, j *job, what 
 	enqStart := time.Now()
 	j.enqueuedAt = enqStart
 	if err := s.admit(j); err != nil {
+		s.unregister(j)
 		// A background run the client left fidelity-agnostic can degrade
 		// to an analytic answer (with a best-effort upgrade job) instead
-		// of a 503 when admission sheds it.
+		// of a 503 when admission sheds it. Its journal record is already
+		// terminal, so a crash cannot resurrect it.
 		var se *shedError
-		if errors.As(err, &se) && j.allowDegrade && j.kind == kindRun &&
-			s.degradeRun(w, r, j) {
-			return
+		if errors.As(err, &se) && j.allowDegrade {
+			start := time.Now()
+			if outs, upgrade, _ := s.resolveInline(j, func(int) bool { return true }); outs != nil {
+				j.markDegraded()
+				s.fidDegraded.Inc()
+				s.answerInline(w, r, j, outs, upgrade, start)
+				return
+			}
 		}
-		s.unregister(j)
 		s.rejected.Inc()
-		s.log.Warn(what+" rejected", "client", clientKey(r), "class", j.class.String(), "err", err)
+		s.log.Warn(j.kind+" rejected", "client", clientKey(r), "class", j.class.String(), "err", err)
 		writeBackoff(w, http.StatusServiceUnavailable, j.class.String(), s.retryAfter(j.family()), "%v", err)
 		return
 	}
 	j.tr.Record(obs.SpanRecord{Name: "enqueue", Start: enqStart, Dur: time.Since(enqStart)})
 	s.accepted.Inc()
-	s.log.Info(what+" accepted", "job", j.id, "class", j.class.String(),
+	s.log.Info(j.kind+" accepted", "job", j.id, "class", j.class.String(),
 		"family", j.family(), "client", clientKey(r))
 	writeJSON(w, http.StatusAccepted, j.view())
+}
+
+// badRequest answers a submission that failed validation.
+func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, kind string, format string, args ...any) {
+	s.log.Warn(kind+" rejected", "client", clientKey(r), "err", fmt.Sprintf(format, args...))
+	writeError(w, http.StatusBadRequest, format, args...)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -291,72 +338,36 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	validateStart := time.Now()
-	opt := ringmesh.DefaultRunOptions()
-	if req.Options != nil {
-		opt = *req.Options
-	}
-	if err := validateRunOptions(opt); err != nil {
-		s.log.Warn("run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
+	opt, err := runOptions(req.Options)
+	if err != nil {
+		s.badRequest(w, r, kindRun, "invalid options: %v", err)
 		return
 	}
 	cls, deadline, err := submitMeta(r, req.Class, req.DeadlineMS, classInteractive)
 	if err != nil {
-		s.log.Warn("run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.badRequest(w, r, kindRun, "%v", err)
 		return
 	}
 	mode, explicit, err := s.resolveFidelity(req.Fidelity, &req.Config)
 	if err != nil {
-		s.log.Warn("run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.badRequest(w, r, kindRun, "%v", err)
 		return
 	}
-	if mode == fidelity.Analytic {
-		// Explicit analytic runs are answered inline — microseconds of
-		// closed-form evaluation never take a queue slot.
-		s.serveAnalyticRun(w, r, req.Config, opt, cls, deadline)
-		return
-	}
-	key, err := ringmesh.CacheKey(req.Config, opt)
-	if err != nil {
+	j := newJob("", kindRun)
+	j.cfg, j.opt = req.Config, opt
+	if err := j.expand(nil, nil); err != nil {
 		// The model's own validation message, verbatim — the same text
 		// NewSystem would produce.
-		s.log.Warn("run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "invalid config: %v", err)
+		s.badRequest(w, r, kindRun, "%v", err)
 		return
 	}
-
-	j := newJob("", kindRun, s.opt.TraceSpans)
-	j.cfg, j.opt, j.key = req.Config, opt, key
 	j.class, j.deadline = cls, deadline
 	j.allowDegrade = cls == classBackground && !explicit && mode == fidelity.Simulate
-	j.tr.Record(obs.SpanRecord{
-		Name: "validate", Start: validateStart, Dur: time.Since(validateStart),
-		Attrs: []obs.Attr{{Key: "key", Value: key[:8]}},
-	})
-
-	// Submission-time cache probe: a hit completes the job without it
+	// Every run is probed inline: a cache hit completes it without it
 	// ever touching the queue (or its deadline), so cached replays cost
-	// one map lookup even when the queue is saturated. Auto requests
-	// take this same path — a cached exact result beats an estimate.
-	if res, ok := s.cache.get(key); ok {
-		j.finish(&res, nil, true, nil)
-		s.register(j)
-		s.accepted.Inc()
-		s.completed.Inc()
-		s.log.Info("run served from cache", "job", j.id,
-			"family", j.family(), "client", clientKey(r))
-		writeJSON(w, http.StatusOK, j.view())
-		return
-	}
-	if mode == fidelity.Auto && s.serveAutoRun(w, r, j) {
-		return
-	}
-	if s.rejectInfeasible(w, j) {
-		return
-	}
-	s.submitJob(w, r, j, "run")
+	// one map lookup even when the queue is saturated, and analytic or
+	// auto runs are estimated in microseconds instead of taking a slot.
+	s.submit(w, r, j, validateStart, mode, true, func(int) bool { return mode == fidelity.Auto })
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -365,54 +376,35 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	validateStart := time.Now()
-	opt := ringmesh.DefaultRunOptions()
-	if req.Options != nil {
-		opt = *req.Options
-	}
-	if err := validateRunOptions(opt); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid options: %v", err)
+	opt, err := runOptions(req.Options)
+	if err != nil {
+		s.badRequest(w, r, kindSweep, "invalid options: %v", err)
 		return
 	}
 	cls, deadline, err := submitMeta(r, req.Class, req.DeadlineMS, classInteractive)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.badRequest(w, r, kindSweep, "%v", err)
 		return
 	}
 	if len(req.Sizes) == 0 {
-		writeError(w, http.StatusBadRequest, "sizes must name at least one node count")
+		s.badRequest(w, r, kindSweep, "sizes must name at least one node count")
 		return
 	}
 	mode, _, err := s.resolveFidelity(req.Fidelity, &req.Config)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.badRequest(w, r, kindSweep, "%v", err)
 		return
 	}
 	// Validate every size up front so a doomed sweep fails at submit
 	// with the model's message, not halfway through the job.
-	for _, n := range req.Sizes {
-		cfg := req.Config
-		cfg.Topology = ""
-		cfg.Nodes = n
-		if _, err := ringmesh.CacheKey(cfg, opt); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid config at size %d: %v", n, err)
-			return
-		}
-	}
-
-	j := newJob("", kindSweep, s.opt.TraceSpans)
+	j := newJob("", kindSweep)
 	j.cfg, j.opt = req.Config, opt
+	if err := j.expand(req.Sizes, nil); err != nil {
+		s.badRequest(w, r, kindSweep, "%v", err)
+		return
+	}
 	j.class, j.deadline = cls, deadline
-	j.sizes = append([]int(nil), req.Sizes...)
-	j.tr.Record(obs.SpanRecord{
-		Name: "validate", Start: validateStart, Dur: time.Since(validateStart),
-	})
-	if mode == fidelity.Auto && s.serveAutoSweep(w, r, j) {
-		return
-	}
-	if s.rejectInfeasible(w, j) {
-		return
-	}
-	s.submitJob(w, r, j, "sweep")
+	s.submit(w, r, j, validateStart, mode, mode == fidelity.Auto, func(int) bool { return true })
 }
 
 // handleBatch accepts many runs as one prioritized unit: one job, one
@@ -427,11 +419,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	validateStart := time.Now()
 	cls, deadline, err := submitMeta(r, req.Class, req.DeadlineMS, classBatch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.badRequest(w, r, kindBatch, "%v", err)
 		return
 	}
 	if len(req.Runs) == 0 {
-		writeError(w, http.StatusBadRequest, "runs must hold at least one entry")
+		s.badRequest(w, r, kindBatch, "runs must hold at least one entry")
 		return
 	}
 	// Per-entry fidelity: the batch-level field applies to entries whose
@@ -440,54 +432,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// where cache keys and the executor read them.
 	autoEntry := make([]bool, len(req.Runs))
 	anyAuto := false
-	// Validate every entry up front so a doomed batch fails at submit
-	// with the model's message, not halfway through the job.
 	entries := make([]batchEntry, len(req.Runs))
 	for i, br := range req.Runs {
-		opt := ringmesh.DefaultRunOptions()
-		if br.Options != nil {
-			opt = *br.Options
-		}
-		if err := validateRunOptions(opt); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid options at entry %d: %v", i, err)
+		opt, err := runOptions(br.Options)
+		if err != nil {
+			s.badRequest(w, r, kindBatch, "invalid options at entry %d: %v", i, err)
 			return
 		}
-		eff := br.Config.Fidelity
-		if eff == "" {
-			eff = req.Fidelity
+		if br.Config.Fidelity == "" {
+			br.Config.Fidelity = req.Fidelity
 		}
-		if eff == fidelity.Auto {
+		if br.Config.Fidelity == fidelity.Auto {
 			autoEntry[i], anyAuto = true, true
 			br.Config.Fidelity = ""
-		} else {
-			br.Config.Fidelity = eff
-		}
-		if _, err := ringmesh.CacheKey(br.Config, opt); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid config at entry %d: %v", i, err)
-			return
 		}
 		entries[i] = batchEntry{Config: br.Config, Options: opt}
 	}
+	// Validate every entry up front so a doomed batch fails at submit
+	// with the model's message, not halfway through the job.
+	j := newJob("", kindBatch)
+	if err := j.expand(nil, entries); err != nil {
+		s.badRequest(w, r, kindBatch, "%v", err)
+		return
+	}
+	mode, err := fidelity.Normalize(req.Fidelity)
 	if anyAuto {
-		s.fidRequests[fidelity.Auto].Inc()
-	} else if mode, err := fidelity.Normalize(req.Fidelity); err == nil {
+		mode, err = fidelity.Auto, nil
+	}
+	if err == nil {
 		s.fidRequests[mode].Inc()
 	}
-
-	j := newJob("", kindBatch, s.opt.TraceSpans)
-	j.entries = entries
 	j.class, j.deadline = cls, deadline
-	j.tr.Record(obs.SpanRecord{
-		Name: "validate", Start: validateStart, Dur: time.Since(validateStart),
-		Attrs: []obs.Attr{{Key: "entries", Value: fmt.Sprint(len(entries))}},
-	})
-	if anyAuto && s.serveAutoBatch(w, r, j, autoEntry) {
-		return
-	}
-	if s.rejectInfeasible(w, j) {
-		return
-	}
-	s.submitJob(w, r, j, "batch")
+	s.submit(w, r, j, validateStart, mode, anyAuto, func(i int) bool { return autoEntry[i] })
 }
 
 // handleJobTrace serves a job's lifecycle spans as Chrome trace-event

@@ -19,8 +19,8 @@ import (
 )
 
 // dispatchError is a coordinator-side failure to obtain a point's
-// result from a worker, carrying the error-taxonomy class the merged
-// sweep response reports. Transient classes (connect errors, 503/504
+// result from a worker, carrying the error-taxonomy class a merged
+// sweep or batch response reports. Transient classes (connect errors, 503/504
 // submit rejections, canceled/timed-out jobs, all breakers open) are
 // retried with backoff; deterministic classes (config, stall, model
 // panic) are not — the same inputs fail the same way on every

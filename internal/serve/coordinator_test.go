@@ -484,3 +484,47 @@ func TestServerCoordinatedRunCachesLocally(t *testing.T) {
 		t.Fatalf("worker dispatched %d times; want 1", calls.Load())
 	}
 }
+
+// TestServerCoordinatedBatchDispatchesConcurrently: a coordinated
+// batch fans its entries out at the sweep's width (twice the fleet),
+// not one entry at a time.
+func TestServerCoordinatedBatchDispatchesConcurrently(t *testing.T) {
+	var inFlight, peak atomic.Int64
+	worker := func() *httptest.Server {
+		w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/runs" {
+				rw.WriteHeader(http.StatusOK)
+				return
+			}
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(50 * time.Millisecond)
+			inFlight.Add(-1)
+			res := res(1)
+			writeJSON(rw, http.StatusOK, JobView{State: JobDone, Result: &res})
+		}))
+		t.Cleanup(w.Close)
+		return w
+	}
+	w1, w2 := worker(), worker()
+	_, ts := newTestServer(t, Options{Workers: 2, WorkerAddrs: []string{w1.URL, w2.URL}})
+
+	var req batchRequest
+	for seed := range 4 {
+		cfg := testConfig()
+		cfg.Seed = uint64(100 + seed) // distinct keys: no coalescing
+		req.Runs = append(req.Runs, batchRunRequest{Config: cfg, Options: testOptions()})
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/batch", req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("batch POST = %d: %s", resp.StatusCode, raw)
+	}
+	v := awaitJobView(t, ts.URL, decodeDoc(t, raw).ID)
+	if v.State != JobDone || len(v.Items) != 4 {
+		t.Fatalf("batch = state %s items %d error %+v; want done with 4 items", v.State, len(v.Items), v.Error)
+	}
+	if p := peak.Load(); p < 2 {
+		t.Fatalf("peak concurrent dispatches = %d; want more than one", p)
+	}
+}

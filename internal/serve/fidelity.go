@@ -27,7 +27,6 @@ package serve
 
 import (
 	"net/http"
-	"sort"
 	"time"
 
 	"ringmesh"
@@ -84,274 +83,94 @@ func (s *Server) observeFidelityAnswer(start time.Time) {
 		Observe(time.Since(start).Seconds())
 }
 
-// answerAnalytic computes the analytic-tier answer for one run
-// configuration through the result cache, under the analytic cache
-// key — estimates and exact results never collide, and identical
-// estimates coalesce. The result carries the "analytic" fidelity
-// label and its recorded error bound, attached by ringmesh.Estimate.
-func (s *Server) answerAnalytic(cfg ringmesh.Config, opt ringmesh.RunOptions, tr *obs.Trace) (ringmesh.Result, bool, error) {
-	acfg := cfg
-	acfg.Fidelity = fidelity.Analytic
-	key, err := ringmesh.CacheKey(acfg, opt)
-	if err != nil {
-		return ringmesh.Result{}, false, err
+// answerAnalytic computes the analytic-tier answer for one point
+// through the result cache, under the analytic cache key — estimates
+// and exact results never collide, and identical estimates coalesce.
+// The result carries the "analytic" fidelity label and its recorded
+// error bound, attached by ringmesh.Estimate.
+func (s *Server) answerAnalytic(p point, tr *obs.Trace) (ringmesh.Result, bool, error) {
+	if p.cfg.Fidelity != fidelity.Analytic {
+		p.cfg.Fidelity = fidelity.Analytic
+		key, err := ringmesh.CacheKey(p.cfg, p.opt)
+		if err != nil {
+			return ringmesh.Result{}, false, err
+		}
+		p.key = key
 	}
-	return s.cache.do(s.baseCtx, key, tr, func() (ringmesh.Result, error) {
-		return ringmesh.Estimate(acfg, opt)
+	return s.cache.do(s.baseCtx, p.key, tr, func() (ringmesh.Result, error) {
+		return ringmesh.Estimate(p.cfg, p.opt)
 	})
 }
 
-// tryUpgrade admits a background-class job that will land the exact
-// result under the exact cache key, upgrading an analytic answer
-// after the fact. Admission is best-effort: under the same pressure
-// that degraded the original request the upgrade is usually shed too,
-// and the caller simply gets no upgrade ID.
-func (s *Server) tryUpgrade(u *job) (string, bool) {
-	u.class = classBackground
-	s.register(u)
-	u.enqueuedAt = time.Now()
-	if err := s.admit(u); err != nil {
-		s.unregister(u)
-		s.log.Info("upgrade job not admitted", "kind", u.kind, "err", err)
-		return "", false
+// resolveInline tries to answer every point of j on the request path,
+// without the simulator. Each point resolves, in order, from an exact
+// cache hit, from the analytic tier — when its config names analytic,
+// or when auto(i) lets an estimate stand in for the exact result — or
+// not at all: the point needs the simulator, and resolveInline returns
+// no outcomes so the job takes the queue. Points answered by a
+// stand-in estimate come back as upgrade, the work a background job
+// should redo exactly. err is the analytic tier's refusal, when that
+// is what stopped it.
+func (s *Server) resolveInline(j *job, auto func(i int) bool) (outs []outcome, upgrade []point, err error) {
+	outs = make([]outcome, len(j.points))
+	for i, p := range j.points {
+		// A point that names analytic is keyed by its estimate, which
+		// answerAnalytic looks up itself.
+		named := p.cfg.Fidelity == fidelity.Analytic
+		if !named {
+			if res, ok := s.cache.get(p.key); ok {
+				outs[i] = outcome{res: &res, cached: true, attempts: 1}
+				continue
+			}
+			if !auto(i) {
+				return nil, nil, nil
+			}
+		}
+		res, cached, err := s.answerAnalytic(p, j.tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		outs[i] = outcome{res: &res, cached: cached, attempts: 1}
+		if !named {
+			upgrade = append(upgrade, p)
+		}
 	}
-	s.accepted.Inc()
-	s.fidUpgrades.Inc()
-	s.log.Info("upgrade job enqueued", "job", u.id, "kind", u.kind)
-	return u.id, true
+	return outs, upgrade, nil
 }
 
-// upgradeRun builds and admits the exact-tier upgrade for one run.
-func (s *Server) upgradeRun(cfg ringmesh.Config, opt ringmesh.RunOptions, key string) (string, bool) {
-	u := newJob("", kindRun, s.opt.TraceSpans)
-	u.cfg, u.opt, u.key = cfg, opt, key
-	u.cfg.Fidelity = ""
-	return s.tryUpgrade(u)
-}
-
-// serveAnalyticRun answers an explicit analytic-fidelity run inline:
-// microseconds of closed-form evaluation instead of a queue slot. An
-// estimator refusal is a 400 — the client asked for a tier that
-// cannot answer this configuration.
-func (s *Server) serveAnalyticRun(w http.ResponseWriter, r *http.Request, cfg ringmesh.Config, opt ringmesh.RunOptions, cls class, deadline time.Time) {
-	start := time.Now()
-	j := newJob("", kindRun, s.opt.TraceSpans)
-	j.cfg, j.opt = cfg, opt
-	j.cfg.Fidelity = fidelity.Analytic
-	j.class, j.deadline = cls, deadline
-	res, cached, err := s.answerAnalytic(cfg, opt, j.tr)
-	if err != nil {
-		s.rejected.Inc()
-		s.log.Warn("analytic run rejected", "client", clientKey(r), "err", err)
-		writeError(w, http.StatusBadRequest, "analytic fidelity: %v", err)
-		return
+// answerInline completes j on the request path with its inline
+// outcomes and writes the 200 job document. Estimates that stood in
+// for exact results get one background-class upgrade job carrying just
+// those points, landing the exact results under the exact cache keys.
+// Its admission is best-effort: under the same pressure that degraded
+// the request the upgrade is usually shed too, and the document simply
+// carries no upgrade ID.
+func (s *Server) answerInline(w http.ResponseWriter, r *http.Request, j *job, outs []outcome, upgrade []point, start time.Time) {
+	if len(upgrade) > 0 {
+		u := newJob("", j.kind)
+		u.cfg, u.opt, u.points = j.cfg, j.opt, upgrade
+		u.class = classBackground
+		s.register(u)
+		u.enqueuedAt = time.Now()
+		if err := s.admit(u); err != nil {
+			s.unregister(u)
+			s.log.Info("upgrade job not admitted", "kind", u.kind, "err", err)
+		} else {
+			s.accepted.Inc()
+			s.fidUpgrades.Inc()
+			j.setUpgrade(u.id)
+			s.log.Info("upgrade job enqueued", "job", u.id, "kind", u.kind)
+		}
 	}
-	j.key, _ = ringmesh.CacheKey(j.cfg, opt)
-	j.finish(&res, nil, cached, nil)
+	if len(upgrade) > 0 || j.cfg.Fidelity == fidelity.Analytic {
+		s.fidAnalyticAnswers.Inc()
+		s.observeFidelityAnswer(start)
+	}
+	j.finish(outs)
 	s.register(j)
 	s.accepted.Inc()
 	s.completed.Inc()
-	s.fidAnalyticAnswers.Inc()
-	s.observeFidelityAnswer(start)
-	s.log.Info("run answered analytically", "job", j.id,
+	s.log.Info("job answered inline", "job", j.id, "kind", j.kind,
 		"family", j.family(), "client", clientKey(r))
 	writeJSON(w, http.StatusOK, j.view())
-}
-
-// serveAutoRun implements the auto policy for one run after the exact
-// cache probe missed: an inline analytic answer plus a background
-// upgrade job. Reports whether the request was answered; an estimator
-// refusal falls back to the normal exact enqueue (counted).
-func (s *Server) serveAutoRun(w http.ResponseWriter, r *http.Request, j *job) bool {
-	start := time.Now()
-	res, cached, err := s.answerAnalytic(j.cfg, j.opt, j.tr)
-	if err != nil {
-		s.fidFallback.Inc()
-		s.log.Info("auto fidelity falling back to exact",
-			"client", clientKey(r), "err", err)
-		return false
-	}
-	if id, ok := s.upgradeRun(j.cfg, j.opt, j.key); ok {
-		j.setUpgrade(id)
-	}
-	j.finish(&res, nil, cached, nil)
-	s.register(j)
-	s.accepted.Inc()
-	s.completed.Inc()
-	s.fidAnalyticAnswers.Inc()
-	s.observeFidelityAnswer(start)
-	s.log.Info("run answered analytically (auto)", "job", j.id,
-		"family", j.family(), "upgrade", j.upgradeID, "client", clientKey(r))
-	writeJSON(w, http.StatusOK, j.view())
-	return true
-}
-
-// degradeRun answers a background run that admission just shed with
-// an analytic estimate instead of a 503, attaching a best-effort
-// upgrade job. Reports whether the degrade succeeded; an estimator
-// refusal leaves the shed rejection in place. The job stays
-// registered (it holds the answer) and its journal record is already
-// terminal — a crash cannot resurrect it.
-func (s *Server) degradeRun(w http.ResponseWriter, r *http.Request, j *job) bool {
-	start := time.Now()
-	res, cached, err := s.answerAnalytic(j.cfg, j.opt, j.tr)
-	if err != nil {
-		return false
-	}
-	if id, ok := s.upgradeRun(j.cfg, j.opt, j.key); ok {
-		j.setUpgrade(id)
-	}
-	j.markDegraded()
-	j.finish(&res, nil, cached, nil)
-	s.accepted.Inc()
-	s.completed.Inc()
-	s.fidDegraded.Inc()
-	s.fidAnalyticAnswers.Inc()
-	s.observeFidelityAnswer(start)
-	s.log.Warn("background run degraded to analytic under pressure",
-		"job", j.id, "upgrade", j.upgradeID, "client", clientKey(r))
-	writeJSON(w, http.StatusOK, j.view())
-	return true
-}
-
-// serveAutoSweep answers an auto sweep inline when every point is
-// available from the exact cache or the analytic model: cached exact
-// points keep their full fidelity, the rest are analytic-labeled, and
-// one background upgrade sweep lands the exact curve later. Reports
-// whether the request was answered; any estimator refusal falls back
-// to the normal exact enqueue (counted).
-func (s *Server) serveAutoSweep(w http.ResponseWriter, r *http.Request, j *job) bool {
-	start := time.Now()
-	points := make([]ringmesh.SweepPoint, 0, len(j.sizes))
-	analytic := 0
-	allCached := len(j.sizes) > 0
-	for _, n := range j.sizes {
-		cfg := j.cfg
-		cfg.Topology = ""
-		cfg.Nodes = n
-		key, err := ringmesh.CacheKey(cfg, j.opt)
-		if err != nil {
-			return false // unreachable: every size validated at submission
-		}
-		if res, ok := s.cache.get(key); ok {
-			points = append(points, ringmesh.SweepPoint{
-				Nodes: n, Topology: resolveTopology(cfg), Result: res, Attempts: 1,
-			})
-			continue
-		}
-		res, cached, err := s.answerAnalytic(cfg, j.opt, j.tr)
-		if err != nil {
-			s.fidFallback.Inc()
-			s.log.Info("auto sweep falling back to exact", "nodes", n,
-				"client", clientKey(r), "err", err)
-			return false
-		}
-		analytic++
-		if !cached {
-			allCached = false
-		}
-		points = append(points, ringmesh.SweepPoint{
-			Nodes: n, Topology: resolveTopology(cfg), Result: res, Attempts: 1,
-		})
-	}
-	sort.Slice(points, func(a, b int) bool { return points[a].Nodes < points[b].Nodes })
-	if analytic > 0 {
-		u := newJob("", kindSweep, s.opt.TraceSpans)
-		u.cfg, u.opt = j.cfg, j.opt
-		u.cfg.Fidelity = ""
-		u.sizes = append([]int(nil), j.sizes...)
-		if id, ok := s.tryUpgrade(u); ok {
-			j.setUpgrade(id)
-		}
-		s.fidAnalyticAnswers.Inc()
-		s.observeFidelityAnswer(start)
-	}
-	j.finish(nil, points, allCached, nil)
-	s.register(j)
-	s.accepted.Inc()
-	s.completed.Inc()
-	s.log.Info("sweep answered analytically (auto)", "job", j.id,
-		"points", len(points), "analytic", analytic, "upgrade", j.upgradeID,
-		"client", clientKey(r))
-	writeJSON(w, http.StatusOK, j.view())
-	return true
-}
-
-// serveAutoBatch answers a batch inline when every entry is available
-// without simulating: auto entries from the exact cache or the
-// analytic model, explicit-analytic entries from the model, and
-// explicit-simulate entries only on a cache hit. One background
-// upgrade batch re-runs the analytically-answered auto entries at
-// exact fidelity. Reports whether the request was answered; anything
-// requiring a simulation falls back to the normal enqueue (counted).
-func (s *Server) serveAutoBatch(w http.ResponseWriter, r *http.Request, j *job, autoEntry []bool) bool {
-	start := time.Now()
-	items := make([]BatchItem, len(j.entries))
-	var upgrade []batchEntry
-	allCached := len(j.entries) > 0
-	fallback := func(reason string, err error) bool {
-		s.fidFallback.Inc()
-		s.log.Info("auto batch falling back to exact", "reason", reason,
-			"client", clientKey(r), "err", err)
-		return false
-	}
-	for i, e := range j.entries {
-		items[i].Index = i
-		items[i].Topology = resolveTopology(e.Config)
-		mode, err := fidelity.Normalize(e.Config.Fidelity)
-		if err != nil {
-			return fallback("entry fidelity", err) // unreachable: validated
-		}
-		if mode == fidelity.Analytic {
-			res, cached, err := s.answerAnalytic(e.Config, e.Options, j.tr)
-			if err != nil {
-				return fallback("analytic entry refused", err)
-			}
-			items[i].Result, items[i].Cached = &res, cached
-			if !cached {
-				allCached = false
-			}
-			continue
-		}
-		key, err := ringmesh.CacheKey(e.Config, e.Options)
-		if err != nil {
-			return fallback("entry key", err) // unreachable: validated
-		}
-		if res, ok := s.cache.get(key); ok {
-			items[i].Result, items[i].Cached = &res, true
-			continue
-		}
-		if !autoEntry[i] {
-			// An explicit-simulate entry with no cached result needs the
-			// simulator; the whole batch takes the queue path.
-			return fallback("uncached simulate entry", nil)
-		}
-		res, cached, err := s.answerAnalytic(e.Config, e.Options, j.tr)
-		if err != nil {
-			return fallback("analytic refused", err)
-		}
-		items[i].Result, items[i].Cached = &res, cached
-		if !cached {
-			allCached = false
-		}
-		upgrade = append(upgrade, batchEntry{Config: e.Config, Options: e.Options})
-	}
-	if len(upgrade) > 0 {
-		u := newJob("", kindBatch, s.opt.TraceSpans)
-		u.entries = upgrade
-		if id, ok := s.tryUpgrade(u); ok {
-			j.setUpgrade(id)
-		}
-		s.fidAnalyticAnswers.Inc()
-		s.observeFidelityAnswer(start)
-	}
-	_ = j.finishBatch(items, allCached)
-	s.register(j)
-	s.accepted.Inc()
-	s.completed.Inc()
-	s.log.Info("batch answered analytically (auto)", "job", j.id,
-		"entries", len(items), "upgraded", len(upgrade), "upgrade", j.upgradeID,
-		"client", clientKey(r))
-	writeJSON(w, http.StatusOK, j.view())
-	return true
 }

@@ -312,3 +312,38 @@ func TestFidelityRejectsUnknown(t *testing.T) {
 		t.Fatalf("unknown fidelity POST = %d: %s", resp.StatusCode, raw)
 	}
 }
+
+// TestAutoSweepUpgradesOnlyEstimates: an auto sweep whose curve is
+// partly in the exact cache is answered inline, and its upgrade job
+// carries only the sizes that were estimated — the cached ones are
+// already exact.
+func TestAutoSweepUpgradesOnlyEstimates(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	resp, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: testOptions()})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("run POST = %d: %s", resp.StatusCode, raw)
+	}
+	awaitJob(t, ts.URL, decodeDoc(t, raw).ID, false)
+
+	resp, raw = postJSON(t, ts.URL+"/v1/sweeps", sweepRequest{
+		Config: testConfig(), Sizes: []int{9, 16}, Options: testOptions(), Fidelity: "auto",
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto sweep POST = %d: %s", resp.StatusCode, raw)
+	}
+	doc := decodeDoc(t, raw)
+	var points []ringmesh.SweepPoint
+	mustUnmarshal(t, doc.Points, &points)
+	if len(points) != 2 || points[0].Result.Fidelity != "analytic" || points[1].Result.Fidelity != "" {
+		t.Fatalf("auto sweep points = %+v; want 9 estimated, 16 exact from cache", points)
+	}
+	if doc.Upgrade == "" {
+		t.Fatal("auto sweep with an estimated size carries no upgrade job")
+	}
+	up := awaitJob(t, ts.URL, doc.Upgrade, false)
+	var exact []ringmesh.SweepPoint
+	mustUnmarshal(t, up.Points, &exact)
+	if len(exact) != 1 || exact[0].Nodes != 9 || exact[0].Result.Fidelity != "" {
+		t.Fatalf("upgrade sweep points = %+v; want only size 9, exact", exact)
+	}
+}

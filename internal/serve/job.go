@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,19 +92,18 @@ func classify(err error) *JobError {
 	return je
 }
 
-// PointError is one failed point in a coordinated sweep's structured
-// error report: the size that failed and its classified error. The
-// sweep's completed points ride alongside in Points — a partial
-// failure degrades the response, it does not void it.
+// PointError is one failed point in a sweep's structured error
+// report: the size that failed and its classified error. The sweep's
+// completed points ride alongside in Points — a partial failure
+// degrades the response, it does not void it.
 type PointError struct {
 	Nodes int       `json:"nodes"`
 	Error *JobError `json:"error"`
 }
 
-// batchEntry is one run inside a batch job: a validated config plus
-// its resolved options. The wire shape of POST /v1/batch items and the
-// journaled shape are the same — cache keys are recomputed, never
-// stored.
+// batchEntry is one run inside a batch submission: a validated config
+// plus its resolved options — the journaled shape of a batch's points.
+// Cache keys are recomputed on replay, never stored.
 type batchEntry struct {
 	Config  ringmesh.Config     `json:"config"`
 	Options ringmesh.RunOptions `json:"options"`
@@ -118,22 +119,45 @@ type BatchItem struct {
 	Error    *JobError        `json:"error,omitempty"`
 }
 
-// job is one accepted unit of work: a single run, a size sweep, or a
-// batch of runs.
+// point is one simulation inside a job: a config, its run schedule and
+// its cache key, computed once when the job is built. A run is one
+// point, a sweep one point per size, a batch one point per entry.
+type point struct {
+	cfg ringmesh.Config
+	opt ringmesh.RunOptions
+	key string
+}
+
+// outcome is how one point resolved: a result (cached when replayed
+// rather than computed for this job) or a classified error.
+type outcome struct {
+	res      *ringmesh.Result
+	cached   bool
+	attempts int
+	err      *JobError
+}
+
+// jobTraceSpans bounds each job's span timeline; spans past it are
+// counted as dropped, never silently lost.
+const jobTraceSpans = 64
+
+// job is one accepted unit of work: a list of points, rendered as a
+// single run, a size sweep, or a batch of runs according to its kind.
 type job struct {
-	id    string
-	kind  string // kindRun, kindSweep or kindBatch
-	cfg   ringmesh.Config
-	opt   ringmesh.RunOptions
-	key   string // CacheKey (runs only; sweeps and batches key per point)
-	sizes []int  // sweeps only
+	id   string
+	kind string // kindRun, kindSweep or kindBatch
+	// cfg and opt are a run's or a sweep's submitted config and
+	// schedule — journaled as submitted, and the source of the family
+	// and fidelity labels. A batch leaves them zero.
+	cfg    ringmesh.Config
+	opt    ringmesh.RunOptions
+	points []point
 
 	// class is the admission priority; deadline, when set, is the
 	// absolute wall-clock instant after which the client no longer wants
-	// the answer (zero: no deadline). entries holds a batch's runs.
+	// the answer (zero: no deadline).
 	class    class
 	deadline time.Time
-	entries  []batchEntry
 	// journaled marks jobs whose accepted record landed in the WAL, so
 	// terminal transitions know whether to journal too.
 	journaled bool
@@ -145,8 +169,8 @@ type job struct {
 
 	// Progress. For runs, tick counts engine ticks out of totalTicks
 	// (fed by the engine's per-cycle hook; totalTicks is written by the
-	// executing worker and read by watchers, hence atomic). For sweeps,
-	// pointsDone counts finished sizes out of len(sizes).
+	// executing worker and read by watchers, hence atomic). For sweeps
+	// and batches, pointsDone counts resolved points.
 	tick       atomic.Int64
 	totalTicks atomic.Int64
 	pointsDone atomic.Int64
@@ -164,7 +188,7 @@ type job struct {
 	degraded  bool
 	upgradeID string
 	result    *ringmesh.Result
-	points    []ringmesh.SweepPoint
+	sweep     []ringmesh.SweepPoint
 	pointErrs []PointError
 	items     []BatchItem
 	errObj    *JobError
@@ -190,9 +214,10 @@ type JobView struct {
 	Result   *ringmesh.Result      `json:"result,omitempty"`
 	Points   []ringmesh.SweepPoint `json:"points,omitempty"`
 	// Degraded marks a response that is less than what was asked for: a
-	// coordinated sweep that completed with some points missing (Points
-	// holds every size that succeeded, PointErrors classifies the rest),
-	// or a background run answered analytically under shed pressure.
+	// sweep or batch that completed with some points missing (Points or
+	// Items hold what succeeded, PointErrors or the items' errors
+	// classify the rest), or a background run answered analytically
+	// under shed pressure.
 	Degraded    bool         `json:"degraded,omitempty"`
 	PointErrors []PointError `json:"point_errors,omitempty"`
 	// UpgradeJobID names the background job enqueued to land the exact
@@ -204,13 +229,49 @@ type JobView struct {
 }
 
 // newJob builds a queued job with a completion channel and a bounded
-// span timeline.
-func newJob(id, kind string, traceSpans int) *job {
+// span timeline. Its points come from expand (or, for an upgrade job,
+// from the job it upgrades).
+func newJob(id, kind string) *job {
 	return &job{
 		id: id, kind: kind, state: JobQueued,
 		done: make(chan struct{}),
-		tr:   obs.NewTrace(traceSpans),
+		tr:   obs.NewTrace(jobTraceSpans),
 	}
+}
+
+// expand builds the job's points from its submission, validating each
+// through CacheKey (the model's own validation) and keeping the key: a
+// run is its cfg and opt; a sweep measures cfg at each size, with the
+// topology re-derived from the node count as SweepSizes does; a batch
+// is its entries. The error names the offending size or entry.
+func (j *job) expand(sizes []int, entries []batchEntry) error {
+	add := func(cfg ringmesh.Config, opt ringmesh.RunOptions) error {
+		key, err := ringmesh.CacheKey(cfg, opt)
+		j.points = append(j.points, point{cfg: cfg, opt: opt, key: key})
+		return err
+	}
+	switch j.kind {
+	case kindSweep:
+		for _, n := range sizes {
+			cfg := j.cfg
+			cfg.Topology = ""
+			cfg.Nodes = n
+			if err := add(cfg, j.opt); err != nil {
+				return fmt.Errorf("invalid config at size %d: %v", n, err)
+			}
+		}
+	case kindBatch:
+		for i, e := range entries {
+			if err := add(e.Config, e.Options); err != nil {
+				return fmt.Errorf("invalid config at entry %d: %v", i, err)
+			}
+		}
+	default:
+		if err := add(j.cfg, j.opt); err != nil {
+			return fmt.Errorf("invalid config: %v", err)
+		}
+	}
+	return nil
 }
 
 // family names the job's topology family for metric labels. A batch
@@ -228,16 +289,9 @@ func (j *job) expired(now time.Time) bool {
 }
 
 // units is the job's work-unit count for admission-time cost
-// estimation: sweep points, batch entries, or one run.
+// estimation: its number of points.
 func (j *job) units() int {
-	switch j.kind {
-	case kindSweep:
-		return max(1, len(j.sizes))
-	case kindBatch:
-		return max(1, len(j.entries))
-	default:
-		return 1
-	}
+	return max(1, len(j.points))
 }
 
 // progress returns the completed fraction of the job's schedule.
@@ -251,17 +305,8 @@ func (j *job) progress() float64 {
 	case JobQueued:
 		return 0
 	}
-	switch j.kind {
-	case kindSweep:
-		if n := len(j.sizes); n > 0 {
-			return float64(j.pointsDone.Load()) / float64(n)
-		}
-		return 0
-	case kindBatch:
-		if n := len(j.entries); n > 0 {
-			return float64(j.pointsDone.Load()) / float64(n)
-		}
-		return 0
+	if j.kind != kindRun {
+		return float64(j.pointsDone.Load()) / float64(j.units())
 	}
 	total := j.totalTicks.Load()
 	if total <= 0 {
@@ -297,8 +342,8 @@ func (j *job) view() JobView {
 		r := *j.result
 		v.Result = &r
 	}
-	if j.points != nil {
-		v.Points = append([]ringmesh.SweepPoint(nil), j.points...)
+	if j.sweep != nil {
+		v.Points = append([]ringmesh.SweepPoint(nil), j.sweep...)
 	}
 	if j.pointErrs != nil {
 		v.PointErrors = append([]PointError(nil), j.pointErrs...)
@@ -331,89 +376,91 @@ func (j *job) start() {
 	j.mu.Unlock()
 }
 
-// finish records the outcome and closes the completion channel.
-func (j *job) finish(res *ringmesh.Result, points []ringmesh.SweepPoint, cached bool, err error) {
+// fail ends the job outright — expiry, eviction, cancellation — with
+// err's classification, and closes the completion channel.
+func (j *job) fail(err error) *JobError {
 	j.mu.Lock()
-	if err != nil {
-		j.state = JobFailed
-		j.errObj = classify(err)
-	} else {
-		j.state = JobDone
-		j.result = res
-		j.points = points
-	}
-	j.cached = cached
+	j.state = JobFailed
+	j.errObj = classify(err)
 	j.mu.Unlock()
 	close(j.done)
+	return j.errObj
 }
 
-// finishSweep records a coordinated sweep's merged outcome: the
-// completed points plus a structured per-point error report. Some
-// failures degrade the response; only a sweep with zero completed
-// points fails wholesale (classified by its first point error, so a
-// sweep that died entirely of connect errors reports as such, not as
-// a generic 500).
-func (j *job) finishSweep(points []ringmesh.SweepPoint, perrs []PointError, cached bool) error {
-	var err error
+// finish merges the points' outcomes into the job document and closes
+// the completion channel. The kind only selects the wire shape: a run
+// renders its result or its classified error, a sweep its points by
+// size plus point_errors, a batch its items in submission order. Some
+// failed points degrade a multi-point job; when every point failed the
+// job fails, classified by the first point (a sweep's smallest size),
+// so a sweep that died entirely of stalls reports as such, not as a
+// generic 500. The job is cached when every point was. It returns the
+// job's error, nil when done.
+func (j *job) finish(outs []outcome) *JobError {
+	cached := len(outs) > 0
+	failed := 0
+	var first *JobError
+	for _, o := range outs {
+		if o.err != nil {
+			failed++
+			first = cmp.Or(first, o.err)
+		}
+		cached = cached && o.cached && o.err == nil
+	}
 	j.mu.Lock()
-	j.pointErrs = perrs
-	if len(points) == 0 && len(perrs) > 0 {
-		first := perrs[0].Error
+	defer close(j.done)
+	defer j.mu.Unlock()
+	j.cached = cached
+	switch j.kind {
+	case kindRun:
+		j.result = outs[0].res
+	case kindSweep:
+		for i, o := range outs {
+			n := j.points[i].cfg.Nodes
+			if o.err != nil {
+				j.pointErrs = append(j.pointErrs, PointError{Nodes: n, Error: o.err})
+				continue
+			}
+			j.sweep = append(j.sweep, ringmesh.SweepPoint{
+				Nodes: n, Topology: resolveTopology(j.points[i].cfg), Result: *o.res, Attempts: o.attempts,
+			})
+		}
+		sort.SliceStable(j.sweep, func(a, b int) bool { return j.sweep[a].Nodes < j.sweep[b].Nodes })
+		sort.SliceStable(j.pointErrs, func(a, b int) bool { return j.pointErrs[a].Nodes < j.pointErrs[b].Nodes })
+		if failed > 0 {
+			first = j.pointErrs[0].Error
+		}
+	case kindBatch:
+		j.items = make([]BatchItem, len(outs))
+		for i, o := range outs {
+			j.items[i] = BatchItem{Index: i, Cached: o.cached, Result: o.res, Error: o.err}
+		}
+		for i, p := range j.points {
+			if j.items[i].Error == nil {
+				j.items[i].Topology = resolveTopology(p.cfg)
+			}
+		}
+	}
+	switch {
+	case failed == 0:
+		j.state = JobDone
+	case j.kind == kindRun:
+		j.state, j.errObj = JobFailed, first
+	case failed == len(outs):
+		what := "points"
+		if j.kind == kindBatch {
+			what = "batch entries"
+		}
 		j.state = JobFailed
 		j.errObj = &JobError{
 			Status:  first.Status,
 			Kind:    first.Kind,
-			Message: fmt.Sprintf("all %d points failed; first: %s", len(perrs), first.Message),
+			Message: fmt.Sprintf("all %d %s failed; first: %s", failed, what, first.Message),
 		}
-		err = errors.New(j.errObj.Message)
-	} else {
-		j.state = JobDone
-		j.points = points
-		j.degraded = len(perrs) > 0
+	default:
+		j.state, j.degraded = JobDone, true
 	}
-	j.cached = cached
-	j.mu.Unlock()
-	close(j.done)
-	return err
-}
-
-// finishBatch records a batch's merged outcome: per-entry items in
-// submission order, some of which may carry classified errors. Like a
-// coordinated sweep, partial failure degrades the response; only a
-// batch with zero successful entries fails wholesale (classified by
-// its first item error).
-func (j *job) finishBatch(items []BatchItem, cached bool) error {
-	succeeded, failed := 0, 0
-	var firstErr *JobError
-	for _, it := range items {
-		if it.Error != nil {
-			failed++
-			if firstErr == nil {
-				firstErr = it.Error
-			}
-		} else {
-			succeeded++
-		}
-	}
-	var err error
-	j.mu.Lock()
-	j.items = items
-	if succeeded == 0 && failed > 0 {
-		j.state = JobFailed
-		j.errObj = &JobError{
-			Status:  firstErr.Status,
-			Kind:    firstErr.Kind,
-			Message: fmt.Sprintf("all %d batch entries failed; first: %s", failed, firstErr.Message),
-		}
-		err = errors.New(j.errObj.Message)
-	} else {
-		j.state = JobDone
-		j.degraded = failed > 0
-	}
-	j.cached = cached
-	j.mu.Unlock()
-	close(j.done)
-	return err
+	return j.errObj
 }
 
 // finished reports whether the job has completed (either way).

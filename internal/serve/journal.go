@@ -349,24 +349,31 @@ func numericID(id string) (int64, bool) {
 
 // acceptedRecord builds the opAccepted record for a job — the one
 // record that must carry everything needed to rebuild it after a
-// crash.
+// crash: a run's or sweep's submitted config and options (plus a
+// sweep's sizes), or a batch's entries.
 func acceptedRecord(j *job) journalRecord {
 	rec := journalRecord{
 		Op:    opAccepted,
 		ID:    j.id,
 		Kind:  j.kind,
 		Class: j.class.String(),
-		Sizes: j.sizes,
 	}
 	if !j.deadline.IsZero() {
 		rec.Deadline = j.deadline.UnixNano()
 	}
 	if j.kind == kindBatch {
-		rec.Entries = j.entries
-	} else {
-		cfg, opt := j.cfg, j.opt
-		rec.Config = &cfg
-		rec.Options = &opt
+		rec.Entries = make([]batchEntry, len(j.points))
+		for i, p := range j.points {
+			rec.Entries[i] = batchEntry{Config: p.cfg, Options: p.opt}
+		}
+		return rec
+	}
+	cfg, opt := j.cfg, j.opt
+	rec.Config, rec.Options = &cfg, &opt
+	if j.kind == kindSweep {
+		for _, p := range j.points {
+			rec.Sizes = append(rec.Sizes, p.cfg.Nodes)
+		}
 	}
 	return rec
 }
@@ -374,36 +381,27 @@ func acceptedRecord(j *job) journalRecord {
 // jobFromRecord rebuilds a job from its accepted record during replay.
 // Cache keys are recomputed rather than journaled — key derivation may
 // evolve between versions and must stay authoritative.
-func jobFromRecord(rec journalRecord, traceSpans int) (*job, error) {
+func jobFromRecord(rec journalRecord) (*job, error) {
 	cls, err := parseClass(rec.Class, classInteractive)
 	if err != nil {
 		return nil, err
 	}
-	j := newJob(rec.ID, rec.Kind, traceSpans)
+	j := newJob(rec.ID, rec.Kind)
 	j.class = cls
 	if rec.Deadline != 0 {
 		j.deadline = time.Unix(0, rec.Deadline)
 	}
-	j.sizes = rec.Sizes
-	switch rec.Kind {
-	case kindBatch:
-		if len(rec.Entries) == 0 {
-			return nil, fmt.Errorf("batch record %s has no entries", rec.ID)
-		}
-		j.entries = rec.Entries
-	default:
+	if rec.Kind != kindBatch {
 		if rec.Config == nil || rec.Options == nil {
 			return nil, fmt.Errorf("record %s missing config or options", rec.ID)
 		}
-		j.cfg = *rec.Config
-		j.opt = *rec.Options
-		if rec.Kind == kindRun {
-			key, err := ringmesh.CacheKey(j.cfg, j.opt)
-			if err != nil {
-				return nil, fmt.Errorf("record %s: %w", rec.ID, err)
-			}
-			j.key = key
-		}
+		j.cfg, j.opt = *rec.Config, *rec.Options
+	}
+	if err := j.expand(rec.Sizes, rec.Entries); err != nil {
+		return nil, fmt.Errorf("record %s: %w", rec.ID, err)
+	}
+	if len(j.points) == 0 {
+		return nil, fmt.Errorf("%s record %s has no points", rec.Kind, rec.ID)
 	}
 	return j, nil
 }

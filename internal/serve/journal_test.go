@@ -328,3 +328,119 @@ func TestJournalStackPreservesGoldenBytes(t *testing.T) {
 func drainCtx() (ctx context.Context, cancel context.CancelFunc) {
 	return context.WithTimeout(context.Background(), 10*time.Second)
 }
+
+// checkedInJournal is a ringmeshd-wal-v1 log written by an earlier
+// encodeRecord: an accepted run and batch with a deadline, a sweep
+// caught mid-run, and a run that finished before the "crash".
+const checkedInJournal = "testdata/journal-v1.wal"
+
+// checkedInDeadline is the absolute deadline the checked-in run and
+// batch carry (2100-01-01T00:00:00Z).
+const checkedInDeadline = int64(4102444800000000000)
+
+// TestJournalReplayCheckedInRecords pins the on-disk format: records
+// encoded by an earlier build must still replay under their original
+// IDs, classes and deadlines, and finish with their kind's document
+// shape. TestJournalReplayCompletesUnfinishedJobs builds its records
+// from the Go struct, so it cannot notice an encoding change.
+func TestJournalReplayCheckedInRecords(t *testing.T) {
+	leakCheck(t, 2)
+	wal, err := os.ReadFile(checkedInJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{JournalDir: dir})
+
+	for _, want := range []struct {
+		id, kind, class string
+		deadline        int64
+		points          int
+	}{
+		{"j000007", kindRun, "interactive", checkedInDeadline, 1},
+		{"j000008", kindSweep, "background", 0, 2},
+		{"j000009", kindBatch, "batch", checkedInDeadline, 2},
+	} {
+		v := awaitJobView(t, ts.URL, want.id)
+		if v.State != JobDone {
+			t.Fatalf("replayed %s = %s %+v; want done", want.id, v.State, v.Error)
+		}
+		if v.ID != want.id || v.Kind != want.kind || v.Class != want.class {
+			t.Fatalf("replayed %s = id %s kind %s class %s; want %s %s %s",
+				want.id, v.ID, v.Kind, v.Class, want.id, want.kind, want.class)
+		}
+		if v.DeadlineUnixNS != want.deadline {
+			t.Fatalf("%s deadline = %d; want %d", want.id, v.DeadlineUnixNS, want.deadline)
+		}
+		switch want.kind {
+		case kindRun:
+			if v.Result == nil || v.Points != nil || v.Items != nil {
+				t.Fatalf("run %s document = %+v; want a result only", want.id, v)
+			}
+		case kindSweep:
+			if v.Result != nil || len(v.Points) != want.points || v.Points[0].Nodes != 9 || v.Points[1].Nodes != 16 {
+				t.Fatalf("sweep %s document = %+v; want points at 9 and 16", want.id, v)
+			}
+		case kindBatch:
+			if v.Result != nil || len(v.Items) != want.points {
+				t.Fatalf("batch %s document = %+v; want %d items", want.id, v, want.points)
+			}
+			for i, it := range v.Items {
+				if it.Index != i || it.Result == nil || it.Error != nil {
+					t.Fatalf("batch %s item %d = %+v; want a result at index %d", want.id, i, it, i)
+				}
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/j000010")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("done-before-crash job GET = %d; want 404 (not replayed)", resp.StatusCode)
+	}
+	resp2, raw := postJSON(t, ts.URL+"/v1/runs", runRequest{Config: testConfig(), Options: testOptions()})
+	if resp2.StatusCode != http.StatusOK && resp2.StatusCode != http.StatusAccepted {
+		t.Fatalf("post-replay POST = %d: %s", resp2.StatusCode, raw)
+	}
+	if id := decodeDoc(t, raw).ID; id != "j000011" {
+		t.Fatalf("post-replay job ID = %s; want j000011", id)
+	}
+}
+
+// TestJournalCheckedInRecordsReencode: a job rebuilt from each
+// checked-in accepted record journals byte-for-byte the same line, so
+// compaction rewrites old logs without changing them.
+func TestJournalCheckedInRecordsReencode(t *testing.T) {
+	wal, err := os.ReadFile(checkedInJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.SplitAfter(wal, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		rec, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil {
+			t.Fatalf("checked-in line does not decode: %v", err)
+		}
+		if rec.Op != opAccepted {
+			continue
+		}
+		j, err := jobFromRecord(rec)
+		if err != nil {
+			t.Fatalf("record %s not replayable: %v", rec.ID, err)
+		}
+		got, err := encodeRecord(acceptedRecord(j))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, line) {
+			t.Fatalf("record %s re-encodes as\n%s\nwant\n%s", rec.ID, got, line)
+		}
+	}
+}

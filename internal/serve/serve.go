@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -47,10 +46,6 @@ type Options struct {
 	// single class can occupy the whole daemon (default: QueueDepth,
 	// i.e. only the shared bound applies).
 	ClassDepth int
-	// ClassWeights sets the deficit-round-robin shares for
-	// interactive, batch and background jobs, in that order (entries
-	// < 1 take the defaults 16/4/1).
-	ClassWeights [3]int
 	// JournalDir, when non-empty, enables the crash-safe job journal:
 	// an fsync'd append-only log of job state transitions, replayed on
 	// startup so accepted-but-unfinished jobs survive kill -9 and
@@ -69,8 +64,8 @@ type Options struct {
 	// of simulating locally, it fans work out to the worker daemons at
 	// these base URLs (e.g. "http://10.0.0.7:8080") with retries,
 	// hedging and per-worker circuit breakers, and merges partial
-	// failures into degraded sweep responses. Empty means normal
-	// (simulating) mode.
+	// failures into degraded sweep and batch responses. Empty means
+	// normal (simulating) mode.
 	WorkerAddrs []string
 	// Rate is the per-client request budget in requests/second
 	// (0 disables rate limiting).
@@ -91,9 +86,6 @@ type Options struct {
 	// Handler. Off by default: the profile endpoints expose goroutine
 	// stacks and heap contents, so they are opt-in.
 	EnablePprof bool
-	// TraceSpans bounds each job's span timeline; spans past it are
-	// counted as dropped, never silently lost (default 64).
-	TraceSpans int
 }
 
 // errDraining rejects submissions once Drain has begun; the HTTP
@@ -194,9 +186,6 @@ func New(opt Options) (*Server, error) {
 	if opt.MaxBody < 1 {
 		opt.MaxBody = 1 << 20
 	}
-	if opt.TraceSpans < 1 {
-		opt.TraceSpans = 64
-	}
 	if opt.Logger == nil {
 		opt.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -212,10 +201,9 @@ func New(opt Options) (*Server, error) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	var depths, weights [numClasses]int
+	var depths [numClasses]int
 	for c := range depths {
 		depths[c] = opt.ClassDepth
-		weights[c] = opt.ClassWeights[c]
 	}
 	s := &Server{
 		opt:     opt,
@@ -224,7 +212,7 @@ func New(opt Options) (*Server, error) {
 		limit:   newRateLimiter(opt.Rate, opt.Burst),
 		baseCtx: ctx,
 		cancel:  cancel,
-		adm:     newAdmitter(opt.QueueDepth, depths, weights, reg),
+		adm:     newAdmitter(opt.QueueDepth, depths, classWeights, reg),
 		jobs:    map[string]*job{},
 		log:     opt.Logger,
 		hists:   map[string]*metrics.Histogram{},
@@ -334,7 +322,7 @@ func (s *Server) replayJournal() error {
 	s.jobsMu.Unlock()
 	var live []journalRecord
 	for _, rec := range unfinished {
-		j, jerr := jobFromRecord(rec, s.opt.TraceSpans)
+		j, jerr := jobFromRecord(rec)
 		if jerr != nil {
 			s.log.Warn("journal record not replayable", "id", rec.ID, "err", jerr)
 			s.journal.append(journalRecord{Op: opFailed, ID: rec.ID})
@@ -468,7 +456,7 @@ func (s *Server) admit(j *job) error {
 		if victim.journaled {
 			s.journal.append(journalRecord{Op: opFailed, ID: victim.id})
 		}
-		victim.finish(nil, nil, false, &shedError{
+		victim.fail(&shedError{
 			class:  victim.class,
 			reason: fmt.Sprintf("evicted by %s arrival under full queue", j.class),
 		})
@@ -573,7 +561,7 @@ func (s *Server) execute(j *job) {
 		s.deadlineExp[j.class].Inc()
 		s.failed.Inc()
 		s.journalTerminal(j, true)
-		j.finish(nil, nil, false, errDeadlineExpired)
+		j.fail(errDeadlineExpired)
 		s.log.Warn("job expired in queue", "job", j.id, "kind", j.kind,
 			"class", j.class.String(), "deadline", j.deadline)
 		return
@@ -609,253 +597,92 @@ func (s *Server) execute(j *job) {
 	}
 	ctx = ctxWithClass(ctx, j.class)
 	runStart := time.Now()
-	var err error
-	switch j.kind {
-	case kindSweep:
-		err = s.executeSweep(ctx, j)
-	case kindBatch:
-		err = s.executeBatch(ctx, j)
-	default:
-		err = s.executeRun(ctx, j)
-	}
+	jerr := s.executePoints(ctx, j)
 	runDur := time.Since(runStart)
 	outcome := "done"
-	if err != nil {
-		outcome = classify(err).Kind
+	if jerr != nil {
+		outcome = jerr.Kind
 		s.failed.Inc()
 	} else {
 		s.completed.Inc()
 	}
-	s.journalTerminal(j, err != nil)
+	s.journalTerminal(j, jerr != nil)
 	j.tr.Record(obs.SpanRecord{
 		Name: "run", Start: runStart, Dur: runDur,
 		Attrs: []obs.Attr{{Key: "outcome", Value: outcome}},
 	})
 	s.histogram("ringmeshd_job_run_seconds",
 		metrics.Labels{Family: j.family(), Outcome: outcome}, secondsBuckets).Observe(runDur.Seconds())
-	if err == nil {
+	if jerr != nil {
+		s.log.Warn("job failed", "job", j.id, "kind", j.kind,
+			"family", j.family(), "outcome", outcome, "dur", runDur, "err", jerr.Message)
+	} else {
 		s.histogram("ringmeshd_fidelity_answer_seconds",
 			metrics.Labels{Fidelity: jobFidelity(j)}, fidelityBuckets).Observe(runDur.Seconds())
-	}
-	if err != nil {
-		s.log.Warn("job failed", "job", j.id, "kind", j.kind,
-			"family", j.family(), "outcome", outcome, "dur", runDur, "err", err)
-	} else {
 		s.log.Info("job finished", "job", j.id, "kind", j.kind,
 			"family", j.family(), "dur", runDur)
 	}
 }
 
-// executeRun resolves a single run through the cache (single-flight:
-// concurrent identical jobs simulate once and share the result). In
-// coordinator mode the computation is a dispatch to the worker fleet
-// instead of a local simulation — same cache, same key, same result.
-func (s *Server) executeRun(ctx context.Context, j *job) error {
-	compute := func() (ringmesh.Result, error) {
-		return s.simulate(ctx, j, j.cfg, j.opt)
-	}
+// executePoints resolves every point of j through the cache
+// (single-flight: concurrent identical points compute once and share
+// the result) and merges the outcomes into the job document. Each
+// point uses the same cache key a single run of it would, so sweeps
+// and batches populate — and benefit from — the same cache. A miss is
+// a local simulation, one point at a time (cross-job parallelism comes
+// from the worker pool, and one job must not burn the whole pool), or
+// in coordinator mode a dispatch to the worker fleet, twice the fleet
+// size at once: every worker's queue stays fed without flooding a
+// small fleet with a large grid. Failed points degrade the answer (see
+// job.finish); cancellation — drain or deadline — fails the job
+// outright, since a canceled job is an aborted attempt, not a degraded
+// answer.
+func (s *Server) executePoints(ctx context.Context, j *job) *JobError {
+	outs := make([]outcome, len(j.points))
+	width := 1
 	if s.coord != nil {
-		compute = func() (ringmesh.Result, error) {
-			res, _, err := s.coord.runPoint(ctx, j.cfg, j.opt, j.tr)
-			return res, err
-		}
+		width = 2 * len(s.coord.workers)
 	}
-	res, cached, err := s.cache.do(ctx, j.key, j.tr, compute)
-	if err != nil {
-		j.finish(nil, nil, false, err)
-		return err
-	}
-	j.finish(&res, nil, cached, nil)
-	return nil
-}
-
-// executeSweep runs one cached simulation per size, serially within
-// the job (cross-job parallelism comes from the worker pool). Each
-// point uses the same cache key a single run of that size would, so
-// sweeps populate — and benefit from — the same cache. In
-// coordinator mode the sweep instead fans out to the worker fleet
-// and merges partial failures.
-func (s *Server) executeSweep(ctx context.Context, j *job) error {
-	if s.coord != nil {
-		return s.executeSweepCoordinated(ctx, j)
-	}
-	points := make([]ringmesh.SweepPoint, 0, len(j.sizes))
-	allCached := len(j.sizes) > 0
-	for _, n := range j.sizes {
-		cfg := j.cfg
-		cfg.Topology = ""
-		cfg.Nodes = n
-		key, err := ringmesh.CacheKey(cfg, j.opt)
-		if err != nil {
-			err = &configError{fmt.Errorf("size %d: %w", n, err)}
-			j.finish(nil, nil, false, err)
-			return err
-		}
-		res, cached, err := s.cache.do(ctx, key, j.tr, func() (ringmesh.Result, error) {
-			return s.simulate(ctx, nil, cfg, j.opt)
-		})
-		if err != nil {
-			err = fmt.Errorf("size %d: %w", n, err)
-			j.finish(nil, nil, false, err)
-			return err
-		}
-		if !cached {
-			allCached = false
-		}
-		points = append(points, ringmesh.SweepPoint{
-			Nodes: n, Topology: resolveTopology(cfg), Result: res, Attempts: 1,
-		})
-		j.pointsDone.Add(1)
-	}
-	sort.Slice(points, func(a, b int) bool { return points[a].Nodes < points[b].Nodes })
-	j.finish(nil, points, allCached, nil)
-	return nil
-}
-
-// executeSweepCoordinated fans a sweep's points out to the worker
-// fleet concurrently and merges whatever comes back: completed points
-// plus a structured per-point error report for the rest. One dead
-// worker (or one doomed size) degrades the response instead of
-// voiding it — the only wholesale failures are cancellation (drain)
-// and every single point failing.
-func (s *Server) executeSweepCoordinated(ctx context.Context, j *job) error {
-	type slot struct {
-		point  *ringmesh.SweepPoint
-		perr   *PointError
-		cached bool
-	}
-	slots := make([]slot, len(j.sizes))
-	// Concurrency: twice the fleet size keeps every worker's queue fed
-	// without flooding a small fleet with a large grid all at once.
-	width := 2 * len(s.coord.workers)
-	if width > len(j.sizes) {
-		width = len(j.sizes)
-	}
-	pool.ForEach(ctx, width, len(j.sizes), nil, func(i int) error {
-		n := j.sizes[i]
-		cfg := j.cfg
-		cfg.Topology = ""
-		cfg.Nodes = n
-		key, err := ringmesh.CacheKey(cfg, j.opt)
-		if err != nil {
-			// Unreachable in practice: every size was validated at
-			// submission. Classified rather than dropped, defensively.
-			slots[i].perr = &PointError{Nodes: n, Error: classify(&configError{err})}
-			j.pointsDone.Add(1)
-			return nil
-		}
-		attempts := 1
-		res, cached, err := s.cache.do(ctx, key, j.tr, func() (ringmesh.Result, error) {
-			r, a, err := s.coord.runPoint(ctx, cfg, j.opt, j.tr)
-			attempts = a
+	pool.ForEach(ctx, width, len(j.points), nil, func(i int) error {
+		p, o := j.points[i], &outs[i]
+		o.attempts = 1
+		res, cached, err := s.cache.do(ctx, p.key, j.tr, func() (ringmesh.Result, error) {
+			if s.coord == nil {
+				return s.simulate(ctx, j, p.cfg, p.opt)
+			}
+			r, attempts, err := s.coord.runPoint(ctx, p.cfg, p.opt, j.tr)
+			o.attempts = attempts
 			return r, err
 		})
-		if err != nil {
-			s.coord.pointsFailed.Inc()
-			slots[i].perr = &PointError{Nodes: n, Error: classifyPointErr(err)}
-			s.log.Warn("sweep point failed", "job", j.id, "nodes", n,
-				"kind", slots[i].perr.Error.Kind, "err", err)
-		} else {
-			slots[i].cached = cached
-			slots[i].point = &ringmesh.SweepPoint{
-				Nodes: n, Topology: resolveTopology(cfg), Result: res, Attempts: attempts,
-			}
-		}
 		j.pointsDone.Add(1)
-		return nil
-	})
-	// Drain-cancellation fails the job wholesale, exactly like the
-	// local sweep path: a canceled sweep is an aborted attempt, not a
-	// degraded answer.
-	if err := ctx.Err(); err != nil {
-		err = fmt.Errorf("sweep canceled: %w", err)
-		j.finish(nil, nil, false, err)
-		return err
-	}
-	var (
-		points    []ringmesh.SweepPoint
-		perrs     []PointError
-		allCached = len(slots) > 0
-	)
-	for _, sl := range slots {
-		if sl.point != nil {
-			points = append(points, *sl.point)
-			allCached = allCached && sl.cached
+		if err == nil {
+			o.res, o.cached = &res, cached
+			return nil
 		}
-		if sl.perr != nil {
-			perrs = append(perrs, *sl.perr)
-			allCached = false
-		}
-	}
-	sort.Slice(points, func(a, b int) bool { return points[a].Nodes < points[b].Nodes })
-	sort.Slice(perrs, func(a, b int) bool { return perrs[a].Nodes < perrs[b].Nodes })
-	if len(perrs) > 0 {
-		s.log.Warn("sweep degraded", "job", j.id,
-			"completed", len(points), "failed", len(perrs))
-	}
-	return j.finishSweep(points, perrs, allCached)
-}
-
-// executeBatch resolves a batch's entries serially through the cache
-// (cross-job parallelism comes from the worker pool, and a batch is by
-// definition bulk work — burning the whole pool on one batch would
-// defeat the admission classes). Entry failures degrade the response
-// with per-item classified errors; cancellation (drain, deadline)
-// fails the job wholesale, like a sweep.
-func (s *Server) executeBatch(ctx context.Context, j *job) error {
-	items := make([]BatchItem, len(j.entries))
-	allCached := len(j.entries) > 0
-	for i, e := range j.entries {
-		items[i].Index = i
-		if err := ctx.Err(); err != nil {
-			err = fmt.Errorf("batch canceled at entry %d: %w", i, err)
-			j.finish(nil, nil, false, err)
-			return err
-		}
-		cfg, opt := e.Config, e.Options
-		key, err := ringmesh.CacheKey(cfg, opt)
-		if err != nil {
-			// Unreachable in practice: every entry was validated at
-			// submission. Classified rather than dropped, defensively.
-			items[i].Error = classify(&configError{err})
-			allCached = false
-			j.pointsDone.Add(1)
-			continue
-		}
-		compute := func() (ringmesh.Result, error) {
-			return s.simulate(ctx, nil, cfg, opt)
+		// A sweep or batch point reports a worker's own classification;
+		// a run keeps the local taxonomy for its job document.
+		o.err = classifyPointErr(err)
+		if j.kind == kindRun {
+			o.err = classify(err)
 		}
 		if s.coord != nil {
-			compute = func() (ringmesh.Result, error) {
-				res, _, err := s.coord.runPoint(ctx, cfg, opt, j.tr)
-				return res, err
+			s.coord.pointsFailed.Inc()
+		}
+		s.log.Warn("job point failed", "job", j.id, "point", i, "nodes", p.cfg.Nodes,
+			"kind", o.err.Kind, "err", err)
+		return nil
+	})
+	if err := ctx.Err(); err != nil {
+		for _, o := range outs {
+			if o.res == nil {
+				return j.fail(fmt.Errorf("%s canceled: %w", j.kind, err))
 			}
 		}
-		res, cached, err := s.cache.do(ctx, key, j.tr, compute)
-		switch {
-		case err != nil && ctx.Err() != nil:
-			err = fmt.Errorf("batch canceled at entry %d: %w", i, ctx.Err())
-			j.finish(nil, nil, false, err)
-			return err
-		case err != nil:
-			items[i].Error = classify(err)
-			allCached = false
-			s.log.Warn("batch entry failed", "job", j.id, "entry", i,
-				"kind", items[i].Error.Kind, "err", err)
-		default:
-			items[i].Result = &res
-			items[i].Cached = cached
-			items[i].Topology = resolveTopology(cfg)
-			if !cached {
-				allCached = false
-			}
-		}
-		j.pointsDone.Add(1)
 	}
-	return j.finishBatch(items, allCached)
+	return j.finish(outs)
 }
 
-// simulate builds and runs one system. When j is a single-run job its
+// simulate builds and runs one point of j. When j is a run its
 // progress atomics are wired to the engine's per-cycle hook so
 // watchers see live completion fractions.
 func (s *Server) simulate(ctx context.Context, j *job, cfg ringmesh.Config, opt ringmesh.RunOptions) (ringmesh.Result, error) {
@@ -885,7 +712,7 @@ func (s *Server) simulate(ctx context.Context, j *job, cfg ringmesh.Config, opt 
 	if err != nil {
 		return ringmesh.Result{}, &configError{err}
 	}
-	if j != nil {
+	if j.kind == kindRun {
 		cycles := opt.WarmupCycles + opt.BatchCycles*int64(opt.Batches)
 		j.totalTicks.Store(cycles * sys.TicksPerCycle())
 		sys.OnCycle(func(tick int64, _ uint64) { j.tick.Store(tick) })

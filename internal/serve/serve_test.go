@@ -342,12 +342,12 @@ func TestQueueBounds(t *testing.T) {
 		s.admitted[c] = s.reg.Counter("ringmeshd_admit_total", l)
 		s.shed[c] = s.reg.Counter("ringmeshd_shed_total", l)
 	}
-	bg := newJob("a", kindRun, 8)
+	bg := newJob("a", kindRun)
 	bg.class = classBackground
 	if err := s.admit(bg); err != nil {
 		t.Fatalf("admit into empty queue: %v", err)
 	}
-	batch := newJob("b", kindRun, 8)
+	batch := newJob("b", kindRun)
 	batch.class = classBatch
 	if err := s.admit(batch); err != nil {
 		t.Fatalf("admit at full queue with lower class queued: %v; want eviction", err)
@@ -359,13 +359,13 @@ func TestQueueBounds(t *testing.T) {
 		t.Fatalf("victim error = %+v; want kind shed", bg.view().Error)
 	}
 	var se *shedError
-	batch2 := newJob("c", kindRun, 8)
+	batch2 := newJob("c", kindRun)
 	batch2.class = classBatch
 	if err := s.admit(batch2); !errors.As(err, &se) {
 		t.Fatalf("admit into full queue = %v; want shedError", err)
 	}
 	s.draining = true
-	d := newJob("d", kindRun, 8)
+	d := newJob("d", kindRun)
 	if err := s.admit(d); !errors.Is(err, errDraining) {
 		t.Fatalf("admit while draining = %v; want errDraining", err)
 	}
@@ -532,8 +532,8 @@ func TestJobRetention(t *testing.T) {
 	s := &Server{jobs: map[string]*job{}}
 	var first string
 	for i := 0; i < jobRetain+10; i++ {
-		j := newJob("", "run", 8)
-		j.finish(&ringmesh.Result{}, nil, false, nil)
+		j := newJob("", "run")
+		j.finish([]outcome{{res: &ringmesh.Result{}}})
 		s.register(j)
 		if i == 0 {
 			first = j.id
@@ -547,5 +547,47 @@ func TestJobRetention(t *testing.T) {
 	}
 	if _, ok := s.lookup(fmt.Sprintf("j%06d", jobRetain+10)); !ok {
 		t.Fatalf("newest job missing")
+	}
+}
+
+// stallingRingConfig is a VC-less ring that a transient dead link
+// wedges permanently at 4 nodes, while the 8-node ring rides the same
+// fault out: in one sweep, one size fails at run time and the other
+// does not.
+func stallingRingConfig() (ringmesh.Config, *ringmesh.RunOptions) {
+	return ringmesh.Config{
+			Network:    "ring",
+			LineBytes:  32,
+			UnsafeNoVC: true,
+			FaultPlan:  "stutter@3000+4000:node=0",
+			Workload:   ringmesh.Workload{R: 1, C: 1, T: 16, ReadProb: 0.7},
+			Seed:       1,
+		}, &ringmesh.RunOptions{
+			WarmupCycles: 2000, BatchCycles: 30000, Batches: 4, FailOnStall: true,
+		}
+}
+
+// TestLocalSweepDegradesOnFailedSize: a local sweep merges like a
+// coordinated one — a size that fails at run time is reported in
+// point_errors, and the sizes that completed are still the answer.
+func TestLocalSweepDegradesOnFailedSize(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cfg, opt := stallingRingConfig()
+	resp, raw := postJSON(t, ts.URL+"/v1/sweeps", sweepRequest{Config: cfg, Options: opt, Sizes: []int{8, 4}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep POST = %d: %s", resp.StatusCode, raw)
+	}
+	v := awaitJobView(t, ts.URL, decodeDoc(t, raw).ID)
+	if v.State != JobDone || !v.Degraded {
+		t.Fatalf("state=%s degraded=%v error=%+v; want done and degraded", v.State, v.Degraded, v.Error)
+	}
+	if len(v.Points) != 1 || v.Points[0].Nodes != 8 {
+		t.Fatalf("points = %+v; want size 8 only", v.Points)
+	}
+	if len(v.PointErrors) != 1 || v.PointErrors[0].Nodes != 4 {
+		t.Fatalf("point_errors = %+v; want exactly size 4", v.PointErrors)
+	}
+	if pe := v.PointErrors[0].Error; pe == nil || pe.Kind != "stall" || pe.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("point error = %+v; want a stall classification", v.PointErrors[0].Error)
 	}
 }
